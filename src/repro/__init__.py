@@ -18,8 +18,9 @@ paper surveys:
 * ``repro.power`` — PAPR, PA back-off, MIMO chain power, platform budgets.
 * ``repro.core`` — the link-level engine and the paper's evolution
   framework.
-* ``repro.campaign`` — declarative parameter sweeps run on a process
-  pool with per-point seed substreams and a persistent results store.
+* ``repro.campaign`` — declarative parameter sweeps run inline or on a
+  sharded work queue, with per-point seed substreams and a persistent
+  results store.
 * ``repro.obs`` — structured tracing and run telemetry: nestable
   spans, counters, per-process JSONL traces, ``repro trace report``.
 * ``repro.analysis`` — closed-form BER/capacity/link-budget yardsticks.

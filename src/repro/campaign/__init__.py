@@ -6,7 +6,8 @@ campaign is a declarative :class:`~repro.campaign.spec.CampaignSpec`
 :func:`~repro.campaign.runner.run_campaign` orchestrator expands it,
 derives an independent random substream per point
 (``numpy.random.SeedSequence`` spawning — results are bit-identical at
-any worker count), executes points on a ``ProcessPoolExecutor``, skips
+any worker count), executes points inline or on a sharded work queue
+of worker processes (:mod:`repro.campaign.queue`), skips
 points already present in the :class:`~repro.campaign.store.ResultsStore`
 (content-hash cache), and appends each completed point to
 ``results/<campaign>/records.jsonl`` as it lands. Execution is

@@ -1,6 +1,8 @@
 """Sharded work-queue execution for campaigns.
 
-The million-point campaign shape: the grid's uncached points are
+Every campaign run with ``workers > 1`` executes here; ``workers=1``
+runs inline in :func:`repro.campaign.runner._run_campaign`. The
+million-point campaign shape: the grid's uncached points are
 sharded into :class:`WorkUnit` batches, the parent *assigns* units to
 workers (recording the lease before the unit ever leaves the parent —
 a worker that dies without sending a byte still forfeits exactly what
@@ -20,18 +22,10 @@ every point's record, so
   :mod:`~repro.campaign.seeding` substreams make the completed grid
   bit-identical to an uninterrupted run.
 
-Two execution backends share the runner's ``finish`` contract
-(``finish(record, t_submit)``; see
-:func:`repro.campaign.runner._run_campaign`):
-
-``pool``
-    The PR-1 :class:`~concurrent.futures.ProcessPoolExecutor` path
-    (:func:`run_pool`) — one future per point, no sharding. Still the
-    default; right for small grids and cheap points.
-``local-queue``
-    :func:`run_local_queue` — the sharded lease/ack loop above, on
-    ``multiprocessing`` queues. Same records, bit for bit; amortizes
-    per-task dispatch over a unit and survives worker loss.
+:func:`run_local_queue` runs the lease/ack loop above on
+``multiprocessing`` queues and hands each record to the runner's
+``finish(record, t_submit)`` sink; records are bit-identical to an
+inline run.
 
 Telemetry: ``campaign.queue.units/lease/ack/requeue/duplicate/respawn``
 counters and a stats dict surfaced as
@@ -46,7 +40,6 @@ import queue as stdlib_queue
 import threading
 import time
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 
 from repro import obs
@@ -195,7 +188,7 @@ def _heartbeat_loop(stop, result_q, pid, heartbeat_s, trace_dir,
 
 def _queue_worker(task_q, result_q, kind, campaign, base_seed, retries,
                   timeout_s, trace_dir, initializer, initargs,
-                  heartbeat_s=None, pool_meta=None):
+                  heartbeat_s=None):
     """Worker loop: run assigned units, stream records, ack, exit on
     the ``None`` sentinel.
 
@@ -207,23 +200,10 @@ def _queue_worker(task_q, result_q, kind, campaign, base_seed, retries,
 
     With ``heartbeat_s`` set (live status active), a daemon thread
     heartbeats the parent on that cadence; see :func:`_heartbeat_loop`.
-
-    ``pool_meta`` names the parent's shared-memory draw pool
-    (:mod:`repro.campaign.shm`): the worker attaches once here — the
-    draws themselves never travel through the task queue — and point
-    functions slice from the mapping. Attach failure is harmless:
-    points regenerate the same draws locally, bit for bit.
     """
     if initializer is not None:
         initializer(*initargs)
     from repro.campaign import runner
-    from repro.campaign import shm
-
-    if pool_meta is not None:
-        try:
-            shm.attach_pool(pool_meta)
-        except Exception:
-            pass
 
     pid = os.getpid()
     stop_beat = None
@@ -248,7 +228,6 @@ def _queue_worker(task_q, result_q, kind, campaign, base_seed, retries,
                 result_q.put(("record", unit.unit_id, pid, record))
             result_q.put(("ack", unit.unit_id, pid, None))
     finally:
-        shm.detach_pool()
         if stop_beat is not None:
             stop_beat.set()
             # Last will: a campaign faster than one heartbeat interval
@@ -260,6 +239,35 @@ def _queue_worker(task_q, result_q, kind, campaign, base_seed, retries,
                                obs_metrics.current_registry().snapshot()}))
             except (OSError, ValueError):
                 pass
+
+
+def _lost_point_record(spec, code_version, point, key):
+    """Failure record for a point no queue worker lived to report.
+
+    The point function never returned, so there is no exception or
+    traceback to keep: every worker that held the point (and every
+    replacement the respawn budget allowed) died first. The record
+    keeps the point's identity and key so the sweep has no hole and a
+    later run or ``repro campaign resume`` re-executes exactly it.
+    """
+    return {
+        "key": key,
+        "campaign": spec.name,
+        "kind": spec.kind,
+        "code_version": code_version,
+        "index": point.index,
+        "params": dict(point.params),
+        "base_seed": int(spec.base_seed),
+        "metrics": {},
+        "outcome": "error",
+        "error": ("work unit lost: every queue worker (and replacement) "
+                  "died before completing this point"),
+        "error_type": "RuntimeError",
+        "traceback": None,
+        "attempts": 1,
+        "wall_time_s": 0.0,
+        "worker": None,
+    }
 
 
 def run_local_queue(spec, code_version, todo, workers, retries, timeout_s,
@@ -323,22 +331,6 @@ def run_local_queue(spec, code_version, todo, workers, retries, timeout_s,
     initializer, initargs = runner._worker_initializer(spec.kind)
     heartbeat_s = board.heartbeat_s if board is not None else None
 
-    # Shared-memory draw pool: when every point of a link-grid campaign
-    # opted in (same draw_seed), the base draws are materialised once
-    # here and workers attach by name at spawn. Failure to build one is
-    # never fatal — points regenerate identical draws locally.
-    from repro.campaign import shm
-
-    draw_pool = None
-    pool_plan = shm.plan_pool(spec, todo)
-    if pool_plan is not None:
-        try:
-            draw_pool = shm.SharedDrawPool.create(**pool_plan)
-            obs.counter("campaign.shm.pool")
-        except Exception:
-            draw_pool = None
-    pool_meta = draw_pool.meta if draw_pool is not None else None
-
     #: pid -> (process, its private task queue). Each worker gets its
     #: own queue so the parent knows exactly which units it handed to
     #: which pid; a shared queue would make leases guesswork again.
@@ -353,7 +345,7 @@ def run_local_queue(spec, code_version, todo, workers, retries, timeout_s,
             target=_queue_worker,
             args=(task_q, result_q, spec.kind, spec.name,
                   spec.base_seed, retries, timeout_s, trace_dir,
-                  initializer, initargs, heartbeat_s, pool_meta),
+                  initializer, initargs, heartbeat_s),
             daemon=True)
         proc.start()
         procs[proc.pid] = (proc, task_q)
@@ -453,10 +445,17 @@ def run_local_queue(spec, code_version, todo, workers, retries, timeout_s,
         update_board()
 
     try:
+        next_reap = time.monotonic() + 0.2
         while remaining:
             try:
                 handle(inbox.get(timeout=0.2))
             except stdlib_queue.Empty:
+                pass
+            # Reap on a clock, not only when the inbox goes quiet: an idle
+            # survivor heartbeating faster than the get() timeout would
+            # otherwise keep a dead worker's leases from ever requeueing.
+            if time.monotonic() >= next_reap:
+                next_reap = time.monotonic() + 0.2
                 reap_dead()
                 if not procs:
                     break  # every executor (and replacement) is gone
@@ -470,12 +469,8 @@ def run_local_queue(spec, code_version, todo, workers, retries, timeout_s,
         n_lost = len(remaining)
         for key in sorted(remaining,
                           key=lambda k: points_by_key[k].index):
-            pt = points_by_key[key]
-            exc = RuntimeError(
-                "work unit lost: every queue worker (and replacement) "
-                "died before completing this point")
-            finish(runner._pool_failure_record(spec, code_version, pt,
-                                               key, exc), t_enqueue)
+            finish(_lost_point_record(spec, code_version,
+                                      points_by_key[key], key), t_enqueue)
         remaining.clear()
     finally:
         # Nothing may be assigned past this point: a late ack drained
@@ -501,14 +496,11 @@ def run_local_queue(spec, code_version, todo, workers, retries, timeout_s,
         result_q.close()
         # The pump stays parked on the (now closed) result_q until its
         # read fails; daemon=True keeps it from pinning the process.
-        if draw_pool is not None:
-            draw_pool.destroy()
 
     return {
         "backend": "local-queue",
         "n_units": len(units),
         "shard_size": size,
-        "draw_pool": pool_meta is not None,
         "n_leases": wq.n_leases,
         "n_acks": wq.n_acks,
         "n_requeued": wq.n_requeued,
@@ -516,38 +508,3 @@ def run_local_queue(spec, code_version, todo, workers, retries, timeout_s,
         "n_respawns": n_respawns,
         "n_lost": n_lost,
     }
-
-
-def run_pool(spec, code_version, todo, workers, retries, timeout_s,
-             start_method, trace_dir, finish, clock):
-    """Execute ``todo`` on a :class:`ProcessPoolExecutor` (``pool``).
-
-    One future per point; a future that dies outside the point function
-    (killed worker, unpicklable argument, broken pool) still yields a
-    structured failure record, so the sweep never returns holes.
-    """
-    from repro.campaign import runner
-
-    context = (multiprocessing.get_context(start_method)
-               if start_method else None)
-    initializer, initargs = runner._worker_initializer(spec.kind)
-    with ProcessPoolExecutor(max_workers=int(workers),
-                             mp_context=context,
-                             initializer=initializer,
-                             initargs=initargs) as pool:
-        futures = {}
-        for key, pt in todo:
-            future = pool.submit(runner._execute_point, spec.kind,
-                                 spec.name, spec.base_seed,
-                                 pt.index, pt.params, key,
-                                 retries, timeout_s, trace_dir)
-            futures[future] = (key, pt, clock.elapsed)
-        for future in as_completed(futures):
-            key, pt, t_submit = futures[future]
-            try:
-                record = future.result()
-            except Exception as exc:
-                record = runner._pool_failure_record(spec, code_version,
-                                                     pt, key, exc)
-            finish(record, t_submit)
-    return {"backend": "pool"}

@@ -1,5 +1,11 @@
 """Campaign execution: expand, skip cached, fan out, persist.
 
+How points run follows from the worker count alone: ``workers=1`` runs
+them inline in the calling process, ``workers > 1`` on the sharded
+local queue (:mod:`repro.campaign.queue`), whose leases survive worker
+death. The ``backend`` knob is accepted for old specs and scripts but
+selects nothing.
+
 The runner maps each :class:`~repro.campaign.spec.SweepPoint` to a
 *point function* selected by the spec's ``kind``. Point functions are
 registered in a module-level registry together with a ``code_version``
@@ -16,8 +22,8 @@ is bit-identical to ``--workers 1``.
 Execution is *fault-isolated*: any exception a point function raises is
 captured into the point's record — class name, message, and traceback
 text — and the sweep continues; one bad point can no longer abort a
-pool run and abandon hours of in-flight results. Failing points get
-``spec.retries`` extra attempts, each drawing from a deterministic
+multi-worker run and abandon hours of in-flight results. Failing points
+get ``spec.retries`` extra attempts, each drawing from a deterministic
 per-attempt stream (see :mod:`repro.campaign.seeding`), and an optional
 ``spec.timeout_s`` wall-clock budget marks an overrunning point
 ``timeout`` and moves on. :func:`run_campaign` therefore always returns
@@ -52,13 +58,13 @@ Record schema (one per point, stored as a JSONL line)::
 Telemetry: when :func:`run_campaign` is called with ``trace=True`` (or
 an ambient :mod:`repro.obs` tracer is installed) the run emits spans —
 ``campaign.run`` around the sweep, one ``campaign.point`` per grid
-point with outcome/attempt/cache attrs and the pool submit-to-finish
+point with outcome/attempt/cache attrs and the submit-to-finish
 latency as its duration, and worker-side ``campaign.execute`` /
 ``campaign.attempt`` spans around the point function — plus cache,
-outcome and retry counters. Each pool worker writes its own JSONL part
+outcome and retry counters. Each queue worker writes its own JSONL part
 file under ``results/<campaign>/trace/`` (spawn-safe: nothing is
-shared), and the parent merges them into ``trace.jsonl`` after pool
-shutdown for ``repro trace report``.
+shared), and the parent merges them into ``trace.jsonl`` after the
+workers exit for ``repro trace report``.
 """
 
 from __future__ import annotations
@@ -110,7 +116,7 @@ def _lookup_kind(kind):
 # -- built-in point functions ------------------------------------------------
 #
 # Imports are deferred into the functions so that importing the campaign
-# package stays cheap and pool workers only pay for what they run.
+# package stays cheap and queue workers only pay for what they run.
 
 def _run_link_point(params, rng):
     """One PER/BER measurement: LinkSimulator(phy, channel) at one SNR.
@@ -173,18 +179,13 @@ def _run_link_grid_point(params, rng):
     shared across the row per trial index (common random numbers), so
     the record's per-SNR lists are bit-identical to per-point runs of
     the same scheme. With a ``draw_seed`` param the base draws come
-    from the campaign-wide stream — identical for every point, which
-    lets queue workers serve them from one shared-memory pool
-    (:mod:`repro.campaign.shm`) instead of regenerating; without one
-    the point's own ``rng`` seeds the stream. Either way an attached
-    pool is a pure optimisation: records match pool-less runs byte for
-    byte.
+    from that campaign-wide seed — identical for every point — instead
+    of the point's own ``rng``; like any param it enters the cache key.
     """
-    from repro.campaign import shm
     from repro.core.link import run_link_grid
 
     snrs = [float(s) for s in params["snrs"]]
-    draw_seed = params.get(shm.POOL_PARAM)
+    draw_seed = params.get("draw_seed")
     floor = params.get("analytic_floor")
     confidence = float(params.get("confidence", 0.95))
     row = run_link_grid(
@@ -196,7 +197,6 @@ def _run_link_grid_point(params, rng):
         confidence=confidence,
         kernels=params.get("kernels"),
         rng=int(draw_seed) if draw_seed is not None else rng,
-        draw_pool=shm.attached_pool(),
     )[0]
     per_ci = [r.per_ci(confidence) for r in row]
     return {
@@ -284,7 +284,7 @@ _BUILTIN_ENTRIES = dict(_POINT_KINDS)
 
 
 def _register_in_worker(kind, func, code_version):
-    """Pool initializer: re-register a custom kind in a child process.
+    """Worker initializer: re-register a custom kind in a child process.
 
     Under the ``spawn``/``forkserver`` start methods workers do not
     inherit the parent's registry mutations, so custom kinds registered
@@ -295,7 +295,7 @@ def _register_in_worker(kind, func, code_version):
 
 
 def _worker_initializer(kind):
-    """``(initializer, initargs)`` needed so pool workers know ``kind``.
+    """``(initializer, initargs)`` needed so queue workers know ``kind``.
 
     Built-in kinds are re-created by the module import in every child,
     so they need nothing. Custom kinds are shipped by value when their
@@ -364,7 +364,7 @@ def _call_point(func, params, rng, timeout_s):
 
 _MAX_TRACEBACK_CHARS = 8000
 
-# Per-process tracers for pool workers, keyed by trace directory. A
+# Per-process tracers for queue workers, keyed by trace directory. A
 # worker is reused across many points (and possibly across campaigns),
 # so it opens its part file once and keeps appending.
 _WORKER_TRACERS = {}
@@ -382,7 +382,7 @@ def _process_tracer(trace_dir):
 
 def _execute_point(kind, campaign, base_seed, index, params, key,
                    retries=0, timeout_s=None, trace_dir=None):
-    """Run one point in whatever process this lands in (pool or main).
+    """Run one point in whatever process this lands in (worker or main).
 
     Never raises: every exception from the point function becomes a
     structured ``error`` record, an overrun becomes ``timeout``, and
@@ -391,7 +391,7 @@ def _execute_point(kind, campaign, base_seed, index, params, key,
     Timeouts are terminal — re-running a hang would just hang again and
     burn the budget times over.
 
-    ``trace_dir`` is set on pool submissions of traced runs: the worker
+    ``trace_dir`` is set on queue submissions of traced runs: the worker
     installs its own per-process tracer (appending to
     ``trace_dir/worker-<pid>.jsonl``) for the duration, which both
     works under ``spawn`` (no inherited state needed) and shadows any
@@ -512,32 +512,6 @@ class CampaignResult:
         return self
 
 
-def _pool_failure_record(spec, code_version, point, key, exc):
-    """Structured record for a point whose *future* died, not its code.
-
-    Covers failures outside the point function — a worker killed by the
-    OS, an unpicklable argument, a broken pool. The sweep still gets a
-    complete record for the point instead of an aborted run.
-    """
-    return {
-        "key": key,
-        "campaign": spec.name,
-        "kind": spec.kind,
-        "code_version": code_version,
-        "index": point.index,
-        "params": dict(point.params),
-        "base_seed": int(spec.base_seed),
-        "metrics": {},
-        "outcome": "error",
-        "error": f"worker failed outside the point function: {exc}",
-        "error_type": type(exc).__name__,
-        "traceback": traceback_module.format_exc()[-_MAX_TRACEBACK_CHARS:],
-        "attempts": 1,
-        "wall_time_s": 0.0,
-        "worker": None,
-    }
-
-
 def run_campaign(spec, workers=1, store=None, force=False, echo=None,
                  retries=None, timeout_s=None, start_method=None,
                  trace=False, backend=None, shard_size=None, resume=False,
@@ -548,8 +522,9 @@ def run_campaign(spec, workers=1, store=None, force=False, echo=None,
     ----------
     spec : CampaignSpec
     workers : int
-        Pool size. ``1`` runs points inline (no subprocesses); any value
-        produces bit-identical metrics because seeding is per-point.
+        ``1`` runs points inline (no subprocesses); more runs them on
+        that many local-queue workers. Any value produces bit-identical
+        metrics because seeding is per-point.
     store : ResultsStore or None
         When given, previously stored points with matching cache keys are
         skipped and fresh points are appended as they complete. ``None``
@@ -564,19 +539,17 @@ def run_campaign(spec, workers=1, store=None, force=False, echo=None,
         Override ``spec.timeout_s`` for this run (``None`` keeps the
         spec; pass ``0`` to disable a spec timeout).
     start_method : str or None
-        Multiprocessing start method for the pool (``fork``, ``spawn``,
-        ``forkserver``). ``None`` uses ``$REPRO_CAMPAIGN_START_METHOD``
+        Multiprocessing start method for queue workers (``fork``,
+        ``spawn``, ``forkserver``). ``None`` uses ``$REPRO_CAMPAIGN_START_METHOD``
         when set, else the platform default.
     backend : str or None
-        Execution backend: ``"pool"`` (ProcessPoolExecutor, one future
-        per point) or ``"local-queue"`` (sharded work units with
-        lease/ack and worker-death recovery, see
-        :mod:`repro.campaign.queue`). ``None`` uses ``spec.backend``,
-        falling back to ``pool``. Records are bit-identical across
-        backends; the knob never enters the cache key.
+        Legacy knob, kept so old specs and scripts still run: validated
+        against :data:`~repro.campaign.spec.EXECUTION_BACKENDS` but it
+        selects nothing — ``workers`` alone decides between inline and
+        the local queue. Never enters the cache key.
     shard_size : int or None
-        Points per work unit for ``local-queue`` (``None`` = ~4 units
-        per worker). Ignored by ``pool``.
+        Points per local-queue work unit (``None`` = ~4 units per
+        worker). Ignored when ``workers=1``.
     resume : bool
         Mark this run as a resume of an interrupted campaign: emits a
         ``campaign.resume`` event carrying how much of the grid the
@@ -595,7 +568,7 @@ def run_campaign(spec, workers=1, store=None, force=False, echo=None,
         Collect :mod:`repro.obs` telemetry for this run. With a store,
         every process writes a JSONL part file under
         ``results/<campaign>/trace/`` and the parent merges them into
-        ``trace.jsonl`` after the pool shuts down
+        ``trace.jsonl`` after the workers exit
         (``result.extras["trace_path"]``); without one the trace stays
         in memory. Either way ``result.extras["trace"]`` carries the
         parent tracer's :meth:`~repro.obs.Tracer.summary`. With
@@ -654,12 +627,14 @@ def _run_campaign(spec, workers, store, force, echo, retries, timeout_s,
     timeout_s = spec.timeout_s if timeout_s is None else (timeout_s or None)
     start_method = start_method or os.environ.get(
         "REPRO_CAMPAIGN_START_METHOD") or None
-    backend = backend or spec.backend or "pool"
-    if backend not in EXECUTION_BACKENDS:
+    legacy = backend or spec.backend
+    if legacy is not None and legacy not in EXECUTION_BACKENDS:
         raise ConfigurationError(
-            f"unknown execution backend {backend!r}; available: "
+            f"unknown execution backend {legacy!r}; available: "
             f"{', '.join(EXECUTION_BACKENDS)}"
         )
+    # The path actually taken, as status.json and trace spans report it.
+    backend = "inline" if workers == 1 else "local-queue"
     say = echo or (lambda _msg: None)
     points = spec.expand()
 
@@ -762,12 +737,10 @@ def _run_campaign_impl(spec, workers, store, force, say, retries,
                 board.point_done(outcome=record["outcome"],
                                  worker=record["worker"],
                                  wall_s=record["wall_time_s"])
-                if backend != "local-queue":
+                if workers == 1:
                     # The queue loop reports lease-accurate in-flight
-                    # counts itself; pool/inline approximate with the
-                    # slots that can still be busy.
-                    board.set_running(min(workers,
-                                          len(todo) - n_finished["n"]))
+                    # counts itself; inline runs one point at a time.
+                    board.set_running(min(1, len(todo) - n_finished["n"]))
             # The span's duration is submit-to-finish latency as the
             # orchestrator saw it; ``exec_s`` is the time the point
             # actually computed — the gap is queueing + transport.
@@ -785,22 +758,16 @@ def _run_campaign_impl(spec, workers, store, force, say, retries,
                 f"(worker {record['worker']})")
 
         extras = {}
-        if board is not None and todo and backend != "local-queue":
-            board.set_running(min(workers, len(todo)))
-        if todo and backend == "local-queue":
+        if todo and workers > 1:
             from repro.campaign import queue as queue_backend
 
             extras["queue"] = queue_backend.run_local_queue(
                 spec, code_version, todo, workers, retries, timeout_s,
                 start_method, trace_dir, finish, clock,
                 shard_size=shard_size, board=board)
-        elif todo and workers > 1:
-            from repro.campaign import queue as queue_backend
-
-            queue_backend.run_pool(spec, code_version, todo, workers,
-                                   retries, timeout_s, start_method,
-                                   trace_dir, finish, clock)
         else:
+            if board is not None and todo:
+                board.set_running(1)
             for key, pt in todo:
                 t_submit = clock.elapsed
                 finish(_execute_point(spec.kind, spec.name, spec.base_seed,
@@ -834,8 +801,8 @@ def resume_campaign(name, store, workers=1, echo=None, retries=None,
     served from their stored records, missing points re-execute from
     their deterministic per-point substreams — so the finished record
     set is bit-identical to a run that was never interrupted,
-    regardless of where the kill landed or which backend/worker count
-    finishes the job. Never forces recomputation.
+    regardless of where the kill landed or which worker count finishes
+    the job. Never forces recomputation.
     """
     spec = store.load_spec(name)
     return run_campaign(spec, workers=workers, store=store, force=False,

@@ -8,7 +8,7 @@ derivation is *stateless* — child ``i`` is a pure function of
 
 * every point's stream is statistically independent of every other's;
 * a point computes identical results whether it runs in the main
-  process, in any of N pool workers, first or last: an ``N``-worker
+  process, in any of N queue workers, first or last: an ``N``-worker
   campaign is bit-identical to the serial one;
 * re-expanding the same spec reproduces the same streams, which is what
   makes cached results interchangeable with fresh ones.

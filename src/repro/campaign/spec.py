@@ -28,11 +28,12 @@ how many extra deterministic attempts a failing point gets, and how
 long one point may run before being recorded as ``timeout``. Both are
 optional and both can be overridden per run from the CLI.
 
-``backend`` and ``store`` pick *how* the sweep executes and *where*
-records land (see :mod:`repro.campaign.queue` and
-:mod:`repro.campaign.store`). Neither enters the cache key or the
-per-point seeds, so the same spec run under any backend/store
-combination produces bit-identical records — which is what makes a
+``store`` picks *where* records land (see :mod:`repro.campaign.store`);
+``backend`` is a legacy knob that old specs still carry — it is
+validated but selects nothing, since the worker count alone decides how
+points run (see :mod:`repro.campaign.runner`). Neither enters the cache
+key or the per-point seeds, so the same spec run under any store or
+worker count produces bit-identical records — which is what makes a
 killed run resumable under a different configuration than it started
 with.
 """
@@ -50,10 +51,11 @@ from repro.errors import ConfigurationError
 _NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
 _SCALAR_TYPES = (str, int, float, bool, type(None))
 
-#: Execution backends: ``pool`` is the PR-1 ProcessPoolExecutor;
-#: ``local-queue`` shards the grid into leased work units (see
-#: :mod:`repro.campaign.queue`). Single source of truth — the store,
-#: queue, runner, and CLI all import these rather than re-listing them.
+#: Accepted values of the legacy ``backend`` knob. Both select the same
+#: execution — inline at one worker, the sharded local queue (see
+#: :mod:`repro.campaign.queue`) at more — and are kept only so old
+#: specs and scripts still validate. The spec, runner and CLI all use
+#: this rather than re-listing it.
 EXECUTION_BACKENDS = ("pool", "local-queue")
 
 #: Results-store backends (see :mod:`repro.campaign.store`).
@@ -108,8 +110,9 @@ class CampaignSpec:
     #: A point still running at the deadline is recorded as ``timeout``
     #: and the sweep moves on (timeouts are not retried).
     timeout_s: float = None
-    #: Default execution backend for this sweep (``None`` = runner
-    #: default, currently ``pool``). Overridable with ``--backend``.
+    #: Legacy execution backend knob: validated against
+    #: :data:`EXECUTION_BACKENDS` but selects nothing (the worker count
+    #: decides). Kept so old ``spec.json`` files still load.
     backend: str = None
     #: Default results-store backend (``None`` = resolve from
     #: environment / existing records / ``jsonl``). Overridable with

@@ -8,7 +8,7 @@ Two interchangeable backends share the store interface:
     dedupes by cache key with last-write-wins, so a crashed or
     ``--force`` run never corrupts earlier results. Each append is a
     single ``os.write`` on an ``O_APPEND`` descriptor, so concurrent
-    appenders (pool parents, external processes on a shared
+    appenders (campaign parents, external processes on a shared
     filesystem) can never interleave torn lines — a kill at any byte
     loses at most the final, partially-written line, which the reader
     skips.
@@ -28,7 +28,7 @@ Each campaign directory holds
     The backend's record storage.
 ``trace/``
     Telemetry of the last ``--trace`` run: per-process JSONL part
-    files, merged into ``trace/trace.jsonl`` after the pool shuts down
+    files, merged into ``trace/trace.jsonl`` after the workers exit
     (see :mod:`repro.obs`). ``repro trace report`` renders it.
 
 Records are plain dicts (see :mod:`repro.campaign.runner` for the

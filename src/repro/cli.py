@@ -24,8 +24,9 @@ campaign run|resume|watch|ls|show|report
     (``--retries``/``--timeout``); ``show --failures`` prints the
     per-point failure table. ``run --trace`` records structured
     telemetry (spans + counters) to ``results/<name>/trace/``.
-    ``--backend local-queue`` shards the grid into leased work units
-    that survive worker death; ``--store sqlite`` (or
+    ``--workers N`` above 1 shards the grid into leased work units on N
+    worker processes that survive worker death (``--backend`` is
+    accepted for old scripts but selects nothing); ``--store sqlite`` (or
     ``REPRO_STORE=sqlite``) keeps records in an indexed WAL-journaled
     database instead of JSONL. ``campaign resume NAME`` picks a killed
     run back up from whatever its store already holds — the completed
@@ -586,16 +587,17 @@ def build_parser():
 
         p.add_argument("--backend", default=None,
                        choices=EXECUTION_BACKENDS,
-                       help="execution backend (default: the spec's "
-                            "backend knob, else pool); records are "
-                            "bit-identical either way")
+                       help="legacy knob, accepted for old scripts and "
+                            "specs but selects nothing: --workers 1 runs "
+                            "inline, more runs the local queue")
         p.add_argument("--shard-size", type=int, default=None,
                        help="points per local-queue work unit "
                             "(default: ~4 units per worker)")
 
     def add_run_knobs(p):
         p.add_argument("--workers", type=int, default=1,
-                       help="pool size; any value is bit-identical to 1")
+                       help="worker processes (1 runs inline); any value "
+                            "is bit-identical to 1")
         p.add_argument("--report", action="store_true",
                        help="print the spec's default pivot after running")
         p.add_argument("--verbose", action="store_true",
@@ -695,7 +697,8 @@ def build_parser():
                           help="adaptive MC trial ceiling per cell")
     p_sbuild.add_argument("--seed", type=int, default=0)
     p_sbuild.add_argument("--workers", type=int, default=1,
-                          help="campaign pool size (bit-identical to 1)")
+                          help="campaign worker processes (1 runs "
+                               "inline; bit-identical to 1)")
     p_sbuild.add_argument("--force", action="store_true",
                           help="remeasure cells even when cached")
     p_sbuild.add_argument("--trace", action="store_true",
@@ -743,7 +746,7 @@ def build_parser():
     p_bdiff = bench_sub.add_parser(
         "diff", help="compare two --bench-json dumps metric by metric")
     p_bdiff.add_argument("baseline",
-                         help="committed baseline dump, e.g. BENCH_9.json")
+                         help="committed baseline dump, e.g. BENCH_10.json")
     p_bdiff.add_argument("current",
                          help="fresh dump from 'pytest benchmarks/ "
                               "--benchmark-only --bench-json PATH'")

@@ -595,12 +595,13 @@ def grid_trial_draws(entropy, t, payload_bytes, n_max, channel):
     """Base draws for grid trial ``t``: (payload, h, noise).
 
     One substream per trial index, derived only from ``entropy`` — the
-    property every grid execution mode (cross-point, per-point,
-    shared-memory pool) relies on for bit-identity. The noise normals
-    are drawn interleaved (re, im) per sample so that a shorter PHY's
-    noise vector is an exact prefix of a longer draw from the same
-    substream: a pool materialised at the campaign's maximum sample
-    count serves every rate in it.
+    property both grid execution modes (cross-point and per-point) rely
+    on for bit-identity. The noise normals are drawn interleaved
+    (re, im) per sample so that a shorter PHY's noise vector is an
+    exact prefix of a longer draw from the same substream: a grid
+    called one rate at a time (perfbench's per-rate ``link-grid``
+    calls) sees the same noise as one multi-rate grid, whose draws are
+    sized for its longest PHY.
     """
     g = np.random.default_rng(
         np.random.SeedSequence(entropy, spawn_key=(int(t),)))
@@ -615,8 +616,7 @@ def grid_trial_draws(entropy, t, payload_bytes, n_max, channel):
 
 def run_link_grid(phys, snr_values_db, n_packets=100, payload_bytes=100, *,
                   channel="awgn", cross_point=True, analytic_floor=None,
-                  confidence=0.95, batch_size=50, rng=None, kernels=None,
-                  draw_pool=None):
+                  confidence=0.95, batch_size=50, rng=None, kernels=None):
     """Run a whole (rate, SNR) grid through shared kernel invocations.
 
     The cross-point batcher behind :meth:`LinkSimulator.run_grid`. Trial
@@ -648,11 +648,6 @@ def run_link_grid(phys, snr_values_db, n_packets=100, payload_bytes=100, *,
         Decoder backend for the whole grid ("numpy"/"numba"/"auto").
     rng : seed or Generator
         Consumed exactly once (for the per-trial substream entropy).
-    draw_pool : SharedDrawPool or None
-        Pre-materialised base draws (see :mod:`repro.campaign.shm`).
-        Used only when its entropy/shape match this grid — otherwise
-        the draws are regenerated locally from the same substreams, so
-        results are bit-identical with or without a pool.
 
     Returns
     -------
@@ -692,17 +687,9 @@ def run_link_grid(phys, snr_values_db, n_packets=100, payload_bytes=100, *,
     # One draw regardless of grid shape or execution mode: the entropy
     # seeds per-trial substreams, so draws depend only on the trial index.
     entropy = int(as_generator(rng).integers(0, 2 ** 63))
-    if draw_pool is not None and not draw_pool.covers(
-            entropy, n_packets, payload_bytes, n_max, channel):
-        obs.counter("link.grid.pool_miss")
-        draw_pool = None
 
     def batch_draws(lo, hi):
         m = hi - lo
-        if draw_pool is not None:
-            pay, hs_all, nz_all = draw_pool.arrays()
-            payloads = [pay[t].tobytes() for t in range(lo, hi)]
-            return payloads, hs_all[lo:hi], nz_all[lo:hi, :n_max]
         payloads = []
         hs = np.empty(m, dtype=np.complex128)
         noise = np.empty((m, n_max), dtype=np.complex128)

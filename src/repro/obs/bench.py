@@ -2,8 +2,8 @@
 
 ``pytest benchmarks/ --bench-json PATH`` (see ``benchmarks/conftest``)
 dumps every benchmark's metrics as ``{"schema": 1, "metrics":
-[{"benchmark", "name", "value", "units"}, ...]}``. Committed baselines
-(``BENCH_6.json``, ``BENCH_9.json``) pin those numbers at PR time;
+[{"benchmark", "name", "value", "units"}, ...]}``. The committed
+baseline (``BENCH_10.json``) pins those numbers;
 ``repro bench diff BASELINE CURRENT`` re-compares them metric by metric
 and exits nonzero on a regression — the CI perf gate.
 

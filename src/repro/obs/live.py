@@ -127,10 +127,12 @@ class StatusBoard:
     Thread-safe: the runner's finish path, the queue control loop and
     the ticker thread all feed one board. ``path=None`` keeps the board
     purely in memory (``snapshot()`` still works), which is how
-    store-less runs and unit tests use it.
+    store-less runs and unit tests use it. ``backend`` names the path
+    the runner took — ``inline`` or ``local-queue`` — for the status
+    document; ``None`` (unknown) renders as ``?``.
     """
 
-    def __init__(self, path, campaign, total, workers=1, backend="pool",
+    def __init__(self, path, campaign, total, workers=1, backend=None,
                  heartbeat_s=None, stall_after_s=None, registry=None):
         self.path = os.fspath(path) if path is not None else None
         self.campaign = campaign
@@ -415,7 +417,7 @@ def status_lines(status, now=None):
     lines = [
         f"campaign {status.get('campaign', '?')} "
         f"[{status.get('state', '?')}] "
-        f"backend={status.get('backend', '?')} "
+        f"backend={status.get('backend') or '?'} "
         f"elapsed {_fmt_duration(status.get('elapsed_s'))} "
         f"(status age {status['age_of_update_s']:.1f}s)",
         f"  [{bar}] {complete}/{total} "

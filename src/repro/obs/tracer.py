@@ -193,7 +193,7 @@ class Tracer:
         """Record an already-measured span in one call.
 
         For intervals the caller timed itself — e.g. the campaign
-        runner's submit-to-finish latency of a pool future, which no
+        runner's submit-to-finish latency of a queued point, which no
         single ``with`` block can bracket because many points are in
         flight at once. The event nests under the calling thread's
         current span.

@@ -2,10 +2,10 @@
 
 Each traced process appends to its own file under
 ``results/<campaign>/trace/`` (``main-<pid>.jsonl`` for the
-orchestrating process, ``worker-<pid>.jsonl`` for pool workers), so no
+orchestrating process, ``worker-<pid>.jsonl`` for queue workers), so no
 two processes ever write the same file — which is what makes tracing
 safe under the ``spawn`` start method, where workers share nothing with
-the parent. After the pool shuts down the parent calls
+the parent. After the workers exit the parent calls
 :func:`merge_trace_dir` to fold every part file into a single
 ``trace.jsonl`` ordered by wall-clock time, which is what ``repro
 trace report`` reads.

@@ -1,8 +1,8 @@
-"""Cross-point grids, the analytic fast path, and shared draw pools.
+"""Cross-point grids and the analytic fast path.
 
 The contract under test, end to end: fixed-budget results are
 bit-identical across cross-point vs per-point execution, batch shapes,
-worker counts, and shared-memory vs locally regenerated draws — and
+per-rate vs multi-rate grid calls, and worker counts — and
 ``stop_reason="analytic"`` records flow through engine, link, store,
 report and CLI without losing their meaning.
 """
@@ -10,7 +10,7 @@ report and CLI without losing their meaning.
 import numpy as np
 import pytest
 
-from repro.campaign import make_store, shm, summary_lines
+from repro.campaign import make_store, summary_lines
 from repro.campaign.runner import run_campaign
 from repro.campaign.spec import CampaignSpec
 from repro.core.link import LinkSimulator, run_link_grid
@@ -135,6 +135,16 @@ class TestCrossPointIdentity:
                                payload_bytes=30, rng=9)[0]
         assert _counts(via_method) == _counts(via_fn)
 
+    @pytest.mark.parametrize("channel", ["awgn", "rayleigh"])
+    def test_per_rate_calls_match_one_grid(self, channel):
+        """Noise draws are prefix-consistent: a grid called one rate at a
+        time (sized for that rate's samples) sees the same draws as one
+        multi-rate grid sized for its longest PHY."""
+        kwargs = dict(n_packets=6, payload_bytes=30, channel=channel, rng=42)
+        whole = run_link_grid(PHYS, SNRS, **kwargs)
+        per_rate = [run_link_grid(p, SNRS, **kwargs)[0] for p in PHYS]
+        assert _counts(sum(whole, [])) == _counts(sum(per_rate, []))
+
     def test_grid_validation(self):
         with pytest.raises(ConfigurationError, match="OFDM"):
             run_link_grid("dsss-1", SNRS, n_packets=2, payload_bytes=20,
@@ -209,106 +219,26 @@ class TestAnalyticFastPath:
                    (rb.n_packets, rb.n_packet_errors, rb.n_bit_errors)
 
 
-class TestSharedDrawPool:
-    def test_pool_matches_local_regeneration(self):
-        seed = 42
-        plan = {"draw_seed": seed, "n_trials": 6, "payload_bytes": 30,
-                "n_max": LinkSimulator("ofdm-6",
-                                       rng=0)._phy.n_samples(30),
-                "channel": "awgn"}
-        pool = shm.SharedDrawPool.create(**plan)
-        try:
-            with_pool = run_link_grid(PHYS, SNRS, n_packets=6,
-                                      payload_bytes=30, rng=seed,
-                                      draw_pool=pool)
-            without = run_link_grid(PHYS, SNRS, n_packets=6,
-                                    payload_bytes=30, rng=seed)
-            assert _counts(sum(with_pool, [])) == _counts(sum(without, []))
-        finally:
-            pool.destroy()
-
-    def test_mismatched_pool_falls_back(self):
-        pool = shm.SharedDrawPool.create(1, 4, 30, 64)
-        try:
-            # Different rng seed -> different entropy; pool must be
-            # ignored, not misapplied.
-            rows = run_link_grid("ofdm-24", [10.0], n_packets=4,
-                                 payload_bytes=30, rng=999,
-                                 draw_pool=pool)
-            plain = run_link_grid("ofdm-24", [10.0], n_packets=4,
-                                  payload_bytes=30, rng=999)
-            assert _counts(rows[0]) == _counts(plain[0])
-        finally:
-            pool.destroy()
-
-    def test_attach_roundtrip(self):
-        pool = shm.SharedDrawPool.create(7, 3, 20, 32)
-        try:
-            attached = shm.SharedDrawPool.attach(pool.meta)
-            pa, ha, na = pool.arrays()
-            ab, hb, nb = attached.arrays()
-            np.testing.assert_array_equal(pa, ab)
-            np.testing.assert_array_equal(ha, hb)
-            np.testing.assert_array_equal(na, nb)
-            attached.close()
-        finally:
-            pool.destroy()
-
-    def test_covers(self):
-        pool = shm.SharedDrawPool.create(7, 5, 20, 32)
-        try:
-            entropy = shm.pool_entropy(7)
-            assert pool.covers(entropy, 5, 20, 32, "awgn")
-            assert pool.covers(entropy, 3, 20, 16, "awgn")  # prefixes
-            assert not pool.covers(entropy + 1, 5, 20, 32, "awgn")
-            assert not pool.covers(entropy, 6, 20, 32, "awgn")
-            assert not pool.covers(entropy, 5, 21, 32, "awgn")
-            assert not pool.covers(entropy, 5, 20, 32, "rayleigh")
-        finally:
-            pool.destroy()
-
-    def test_create_validation(self):
-        with pytest.raises(ConfigurationError):
-            shm.SharedDrawPool.create(1, 0, 10, 10)
-        with pytest.raises(ConfigurationError):
-            shm.SharedDrawPool.create(1, 4, 10, 10, channel="tgn-B")
-        with pytest.raises(ConfigurationError, match="cap"):
-            shm.SharedDrawPool.create(1, 10 ** 6, 1500, 10 ** 5)
-
-
-def _grid_spec(name, backend, draw_seed=99, floor=None):
+def _grid_spec(name, floor=None):
     fixed = {"snrs": [4.0, 28.0], "n_packets": 4, "payload_bytes": 30,
-             "draw_seed": draw_seed}
+             "draw_seed": 99}
     if floor is not None:
         fixed["analytic_floor"] = floor
     return CampaignSpec(name=name, kind="link-grid", base_seed=11,
                         factors={"phy": ["ofdm-6", "ofdm-24"]},
-                        fixed=fixed, backend=backend)
+                        fixed=fixed)
 
 
 class TestLinkGridCampaign:
-    def test_plan_pool(self):
-        spec = _grid_spec("p1", "local-queue")
-        todo = [(str(i), pt) for i, pt in enumerate(spec.expand())]
-        plan = shm.plan_pool(spec, todo)
-        assert plan is not None
-        assert plan["n_trials"] == 4 and plan["payload_bytes"] == 30
-
-    def test_plan_pool_requires_common_seed(self):
-        spec = _grid_spec("p2", "local-queue")
-        todo = [(str(i), pt) for i, pt in enumerate(spec.expand())]
-        todo[0][1].params.pop("draw_seed")
-        assert shm.plan_pool(spec, todo) is None
-
-    def test_queue_shm_matches_inline(self):
-        r1 = run_campaign(_grid_spec("q1", "local-queue"), workers=2)
-        r2 = run_campaign(_grid_spec("q2", "pool"), workers=1)
-        assert r1.extras["queue"]["draw_pool"] is True
-        for a, b in zip(r1.records, r2.records):
-            assert a["metrics"] == b["metrics"]
+    def test_draw_seed_queue_matches_inline(self):
+        queued = run_campaign(_grid_spec("q1"), workers=2)
+        inline = run_campaign(_grid_spec("q2"), workers=1)
+        assert "queue" in queued.extras and "queue" not in inline.extras
+        assert [r["metrics"] for r in queued.records] == \
+            [r["metrics"] for r in inline.records]
 
     def test_report_folds_stop_reasons(self):
-        result = run_campaign(_grid_spec("q3", "pool", floor=1e-6),
+        result = run_campaign(_grid_spec("q3", floor=1e-6),
                               workers=1)
         lines = "\n".join(summary_lines(result.records, name="q3"))
         assert "analytic" in lines

@@ -262,7 +262,7 @@ class TestRendering:
         assert "campaign.point.wall_s" in text
 
 
-# -- end-to-end: live status under the local-queue backend --------------------
+# -- end-to-end: live status of inline and local-queue runs ------------------
 
 def _slow_draw_point(params, rng):
     time.sleep(float(params.get("sleep_s", 0.0)))
@@ -288,21 +288,31 @@ register_point_kind("test-live-die", _die_holding_lease_point,
 
 
 class TestLiveStatusEndToEnd:
-    def test_status_converges_on_completed_run(self, tmp_path):
+    @pytest.mark.parametrize("workers, path", [(1, "inline"),
+                                               (2, "local-queue")])
+    def test_status_converges_on_completed_run(self, tmp_path, workers,
+                                               path):
         store = ResultsStore(tmp_path / "r")
+        # A legacy backend knob must not change what status reports.
         spec = CampaignSpec(name="live-done", kind="test-live-slow",
-                            factors={"x": list(range(6))}, base_seed=5)
-        result = run_campaign(spec, workers=2, store=store,
-                              backend="local-queue", heartbeat_s=0.1)
+                            factors={"x": list(range(6))}, base_seed=5,
+                            backend="pool")
+        result = run_campaign(spec, workers=workers, store=store,
+                              heartbeat_s=0.1)
         assert result.n_failed == 0
         doc = live.read_status(store.status_path("live-done"))
         assert doc["state"] == "done"
+        assert doc["backend"] == path
+        assert f"backend={path} " in live.status_lines(doc)[0]
         assert doc["points"]["done"] == 6
         assert doc["points"]["remaining"] == 0
         assert doc["points"]["running"] == 0
         assert doc["stalls_detected"] == 0
         assert sum(w["n_records"] for w in doc["workers"].values()) == 6
-        assert doc["queue"]["n_acks"] >= 1
+        if workers == 1:
+            assert doc["queue"] is None
+        else:
+            assert doc["queue"]["n_acks"] >= 1
 
     def test_killed_worker_flags_stall_and_status_converges(self, tmp_path):
         """The PR-9 satellite: kill a worker mid-unit; the stall
@@ -316,8 +326,8 @@ class TestLiveStatusEndToEnd:
             factors={"x": list(range(8))},
             fixed={"die_at": 3, "flag_dir": str(flag_dir)},
             base_seed=23)
-        result = run_campaign(spec, workers=2, backend="local-queue",
-                              shard_size=2, store=store, heartbeat_s=0.1)
+        result = run_campaign(spec, workers=2, shard_size=2, store=store,
+                              heartbeat_s=0.1)
         assert all(r["outcome"] == "ok" for r in result.records)
         assert result.extras["queue"]["n_requeued"] >= 1
 
@@ -346,8 +356,7 @@ class TestLiveStatusEndToEnd:
         done = {}
 
         def run():
-            done["result"] = run_campaign(spec, workers=1, store=store,
-                                          backend="local-queue",
+            done["result"] = run_campaign(spec, workers=2, store=store,
                                           heartbeat_s=0.05)
 
         thread = threading.Thread(target=run)

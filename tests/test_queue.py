@@ -1,5 +1,6 @@
 """Tests for the sharded local-queue execution backend."""
 
+import json
 import os
 
 import pytest
@@ -47,6 +48,12 @@ def draw_spec(n=8, **overrides):
 
 def jobs(n):
     return [(f"k{i}", i, {"x": i}) for i in range(n)]
+
+
+def stable(records):
+    """Records minus the fields that legitimately vary run to run."""
+    return [{k: v for k, v in r.items() if k not in ("wall_time_s", "worker")}
+            for r in records]
 
 
 class TestSharding:
@@ -128,21 +135,26 @@ class TestWorkQueue:
 
 
 class TestLocalQueueBackend:
-    def test_bit_identical_to_serial_and_pool(self, tmp_path):
-        spec = draw_spec()
-        serial = run_campaign(spec, store=ResultsStore(tmp_path / "a"))
-        queued = run_campaign(spec, workers=2, backend="local-queue",
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("legacy", ["pool", "local-queue"])
+    def test_legacy_backend_spec_bit_identical_to_inline(self, tmp_path,
+                                                          legacy, workers):
+        """Old spec.json files carry a ``backend`` knob that now selects
+        nothing: it must still load, and the run must match inline."""
+        data = dict(draw_spec().to_dict(), backend=legacy)
+        spec = CampaignSpec.from_dict(json.loads(json.dumps(data)))
+        assert spec.to_dict() == data
+        inline = run_campaign(spec, store=ResultsStore(tmp_path / "a"))
+        queued = run_campaign(spec, workers=workers,
                               store=ResultsStore(tmp_path / "b"))
-        pooled = run_campaign(spec, workers=2, backend="pool",
-                              store=ResultsStore(tmp_path / "c"))
-        assert (serial.metrics_by_index() == queued.metrics_by_index()
-                == pooled.metrics_by_index())
-        # Queue points really ran out of process.
+        assert "queue" not in inline.extras
+        assert {r["worker"] for r in inline.records} == {os.getpid()}
+        assert queued.extras["queue"]["backend"] == "local-queue"
         assert os.getpid() not in {r["worker"] for r in queued.records}
+        assert stable(queued.records) == stable(inline.records)
 
     def test_queue_stats_surface_in_extras(self, tmp_path):
-        result = run_campaign(draw_spec(), workers=2,
-                              backend="local-queue", shard_size=2,
+        result = run_campaign(draw_spec(), workers=2, shard_size=2,
                               store=ResultsStore(tmp_path))
         stats = result.extras["queue"]
         assert stats["backend"] == "local-queue"
@@ -152,22 +164,10 @@ class TestLocalQueueBackend:
         assert stats["n_requeued"] == 0
         assert stats["n_lost"] == 0
 
-    def test_spec_backend_knob_selects_queue(self, tmp_path):
-        result = run_campaign(draw_spec(backend="local-queue"),
-                              workers=2, store=ResultsStore(tmp_path))
-        assert result.extras["queue"]["backend"] == "local-queue"
-
     def test_unknown_backend_rejected(self, tmp_path):
         with pytest.raises(ConfigurationError):
             run_campaign(draw_spec(), workers=2, backend="slurm",
                          store=ResultsStore(tmp_path))
-
-    def test_single_worker_queue_still_completes(self, tmp_path):
-        result = run_campaign(draw_spec(n=3), workers=1,
-                              backend="local-queue",
-                              store=ResultsStore(tmp_path))
-        assert result.n_executed == 3
-        assert all(r["outcome"] == "ok" for r in result.records)
 
 
 class TestWorkerDeath:
@@ -183,8 +183,7 @@ class TestWorkerDeath:
             fixed={"die_at": 3, "flag_dir": str(flag_dir)},
             base_seed=23,
         )
-        result = run_campaign(spec, workers=2, backend="local-queue",
-                              shard_size=2,
+        result = run_campaign(spec, workers=2, shard_size=2,
                               store=ResultsStore(tmp_path / "r"))
         assert all(r["outcome"] == "ok" for r in result.records)
         stats = result.extras["queue"]
@@ -208,11 +207,13 @@ class TestWorkerDeath:
             fixed={"die_at": 1, "flag_dir": str(flag_dir)},
             base_seed=29,
         )
-        result = run_campaign(spec, workers=1, backend="local-queue",
-                              shard_size=1,
+        result = run_campaign(spec, workers=2, shard_size=1,
                               store=ResultsStore(tmp_path / "r"))
         by_x = {r["params"]["x"]: r for r in result.records}
         assert by_x[0]["outcome"] == "ok"
         assert by_x[1]["outcome"] == "error"
         assert "work unit lost" in by_x[1]["error"]
-        assert result.extras["queue"]["n_lost"] == 1
+        assert by_x[1]["worker"] is None
+        stats = result.extras["queue"]
+        assert stats["n_lost"] == 1
+        assert stats["n_respawns"] == 2  # the whole budget was spent
