@@ -186,9 +186,23 @@ def _heartbeat_loop(stop, result_q, pid, heartbeat_s, trace_dir,
             return  # parent went away; nothing left to tell it
 
 
+def _exit_with_parent(parent_pid, poll_s=1.0):
+    """Worker-side watchdog: exit once the parent process is gone.
+
+    A SIGKILLed parent runs no cleanup, so nobody sends its workers the
+    exit sentinel; without this they would block on their task queues
+    forever as orphans. The parent dying reparents the worker, which
+    changes ``os.getppid()``. Exits via ``os._exit``, because a put to
+    the dead parent's full result pipe could block a clean return.
+    """
+    while os.getppid() == parent_pid:
+        time.sleep(poll_s)
+    os._exit(1)
+
+
 def _queue_worker(task_q, result_q, kind, campaign, base_seed, retries,
                   timeout_s, trace_dir, initializer, initargs,
-                  heartbeat_s=None):
+                  heartbeat_s, parent_pid):
     """Worker loop: run assigned units, stream records, ack, exit on
     the ``None`` sentinel.
 
@@ -200,7 +214,12 @@ def _queue_worker(task_q, result_q, kind, campaign, base_seed, retries,
 
     With ``heartbeat_s`` set (live status active), a daemon thread
     heartbeats the parent on that cadence; see :func:`_heartbeat_loop`.
+    A second daemon thread exits the worker once ``parent_pid`` (the
+    process running :func:`run_local_queue`) dies; see
+    :func:`_exit_with_parent`.
     """
+    threading.Thread(target=_exit_with_parent, args=(parent_pid,),
+                     daemon=True, name="campaign-parent-watch").start()
     if initializer is not None:
         initializer(*initargs)
     from repro.campaign import runner
@@ -345,7 +364,7 @@ def run_local_queue(spec, code_version, todo, workers, retries, timeout_s,
             target=_queue_worker,
             args=(task_q, result_q, spec.kind, spec.name,
                   spec.base_seed, retries, timeout_s, trace_dir,
-                  initializer, initargs, heartbeat_s),
+                  initializer, initargs, heartbeat_s, os.getpid()),
             daemon=True)
         proc.start()
         procs[proc.pid] = (proc, task_q)

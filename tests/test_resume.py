@@ -31,6 +31,30 @@ SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "src")
 
 
+def _proc_stat(pid):
+    """``(state, ppid)`` of a live process from ``/proc``, else None."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            fields = fh.read().rsplit(")", 1)[1].split()
+    except OSError:
+        return None
+    return fields[0], int(fields[1])
+
+
+def child_pids(pid):
+    """Pids whose parent is ``pid`` (empty where ``/proc`` is absent)."""
+    if not os.path.isdir("/proc"):
+        return []
+    return [int(p) for p in os.listdir("/proc")
+            if p.isdigit() and (_proc_stat(p) or ("", 0))[1] == pid]
+
+
+def exited(pid):
+    """True once ``pid`` is gone or a zombie nobody has reaped yet."""
+    stat = _proc_stat(pid)
+    return stat is None or stat[0] == "Z"
+
+
 def stable(record):
     """A record minus per-run bookkeeping (pid, timing, cache marker)."""
     return {k: v for k, v in record.items() if k not in VOLATILE_FIELDS}
@@ -174,10 +198,20 @@ class TestSigkillResume:
                     pass  # store not created yet
                 time.sleep(0.02)
             store.close()
+            workers = child_pids(proc.pid)
         finally:
             if proc.poll() is None:
                 proc.send_signal(signal.SIGKILL)
             proc.wait(timeout=30)
+
+        # Nobody sends a SIGKILLed run's queue workers the exit
+        # sentinel; they must notice the dead parent and exit on their
+        # own instead of idling forever as orphans.
+        deadline = time.monotonic() + 30.0
+        while (time.monotonic() < deadline
+               and not all(exited(pid) for pid in workers)):
+            time.sleep(0.1)
+        assert all(exited(pid) for pid in workers), "orphaned workers"
 
         clean = run_campaign(spec, store=ResultsStore(tmp_path / "c"))
         fresh = make_store(results, backend)
