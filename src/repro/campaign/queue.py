@@ -35,6 +35,7 @@ counters and a stats dict surfaced as
 from __future__ import annotations
 
 import multiprocessing
+import multiprocessing.connection
 import os
 import queue as stdlib_queue
 import threading
@@ -186,23 +187,22 @@ def _heartbeat_loop(stop, result_q, pid, heartbeat_s, trace_dir,
             return  # parent went away; nothing left to tell it
 
 
-def _exit_with_parent(parent_pid, poll_s=1.0):
-    """Worker-side watchdog: exit once the parent process is gone.
+def _parent_gone(ppid, sentinel):
+    """True once the run that started this queue worker has died.
 
-    A SIGKILLed parent runs no cleanup, so nobody sends its workers the
-    exit sentinel; without this they would block on their task queues
-    forever as orphans. The parent dying reparents the worker, which
-    changes ``os.getppid()``. Exits via ``os._exit``, because a put to
-    the dead parent's full result pipe could block a clean return.
+    A fork or spawn worker is reparented, which changes
+    ``os.getppid()``. A forkserver worker's parent is the forkserver,
+    which outlives the run because every worker holds its keep-alive
+    pipe; there the parent ``sentinel``, a pipe whose write end only
+    the run holds, reads EOF instead.
     """
-    while os.getppid() == parent_pid:
-        time.sleep(poll_s)
-    os._exit(1)
+    return (os.getppid() != ppid
+            or bool(multiprocessing.connection.wait([sentinel], 0)))
 
 
 def _queue_worker(task_q, result_q, kind, campaign, base_seed, retries,
                   timeout_s, trace_dir, initializer, initargs,
-                  heartbeat_s, parent_pid):
+                  heartbeat_s=None):
     """Worker loop: run assigned units, stream records, ack, exit on
     the ``None`` sentinel.
 
@@ -214,12 +214,15 @@ def _queue_worker(task_q, result_q, kind, campaign, base_seed, retries,
 
     With ``heartbeat_s`` set (live status active), a daemon thread
     heartbeats the parent on that cadence; see :func:`_heartbeat_loop`.
-    A second daemon thread exits the worker once ``parent_pid`` (the
-    process running :func:`run_local_queue`) dies; see
-    :func:`_exit_with_parent`.
+
+    A SIGKILLed parent runs no cleanup, so nobody sends the sentinel.
+    An idle worker therefore checks once a second whether the parent
+    is gone (:func:`_parent_gone`) and then leaves through
+    ``os._exit``, because flushing a put to the dead parent's full
+    result pipe could block a clean return forever.
     """
-    threading.Thread(target=_exit_with_parent, args=(parent_pid,),
-                     daemon=True, name="campaign-parent-watch").start()
+    ppid = os.getppid()
+    parent_sentinel = multiprocessing.parent_process().sentinel
     if initializer is not None:
         initializer(*initargs)
     from repro.campaign import runner
@@ -237,7 +240,12 @@ def _queue_worker(task_q, result_q, kind, campaign, base_seed, retries,
                   registry)).start()
     try:
         while True:
-            unit = task_q.get()
+            try:
+                unit = task_q.get(timeout=1.0)
+            except stdlib_queue.Empty:
+                if _parent_gone(ppid, parent_sentinel):
+                    os._exit(1)
+                continue
             if unit is None:
                 break
             for key, index, params in unit.jobs:
@@ -364,7 +372,7 @@ def run_local_queue(spec, code_version, todo, workers, retries, timeout_s,
             target=_queue_worker,
             args=(task_q, result_q, spec.kind, spec.name,
                   spec.base_seed, retries, timeout_s, trace_dir,
-                  initializer, initargs, heartbeat_s, os.getpid()),
+                  initializer, initargs, heartbeat_s),
             daemon=True)
         proc.start()
         procs[proc.pid] = (proc, task_q)

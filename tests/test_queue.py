@@ -1,6 +1,7 @@
 """Tests for the sharded local-queue execution backend."""
 
 import json
+import multiprocessing
 import os
 
 import pytest
@@ -151,6 +152,20 @@ class TestLocalQueueBackend:
         assert {r["worker"] for r in inline.records} == {os.getpid()}
         assert queued.extras["queue"]["backend"] == "local-queue"
         assert os.getpid() not in {r["worker"] for r in queued.records}
+        assert stable(queued.records) == stable(inline.records)
+
+    @pytest.mark.skipif(
+        "forkserver" not in multiprocessing.get_all_start_methods(),
+        reason="platform has no forkserver start method")
+    def test_forkserver_workers_match_inline(self, tmp_path):
+        """Forkserver workers are children of the forkserver, not of the
+        run. They must still execute every point, so nothing is lost and
+        the records match an inline run."""
+        spec = draw_spec()
+        inline = run_campaign(spec, store=ResultsStore(tmp_path / "a"))
+        queued = run_campaign(spec, workers=2, start_method="forkserver",
+                              store=ResultsStore(tmp_path / "b"))
+        assert queued.extras["queue"]["n_lost"] == 0
         assert stable(queued.records) == stable(inline.records)
 
     def test_queue_stats_surface_in_extras(self, tmp_path):

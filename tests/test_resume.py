@@ -41,12 +41,22 @@ def _proc_stat(pid):
     return fields[0], int(fields[1])
 
 
-def child_pids(pid):
-    """Pids whose parent is ``pid`` (empty where ``/proc`` is absent)."""
+def descendant_pids(pid):
+    """Pids below ``pid`` in the process tree (empty without ``/proc``).
+
+    Descendants, not children: forkserver workers are children of the
+    forkserver, which is itself a child of the run.
+    """
     if not os.path.isdir("/proc"):
         return []
-    return [int(p) for p in os.listdir("/proc")
-            if p.isdigit() and (_proc_stat(p) or ("", 0))[1] == pid]
+    parent_of = {int(p): (_proc_stat(p) or ("", 0))[1]
+                 for p in os.listdir("/proc") if p.isdigit()}
+    found, frontier = [], [pid]
+    while frontier:
+        below = [p for p, ppid in parent_of.items() if ppid in frontier]
+        found.extend(below)
+        frontier = below
+    return found
 
 
 def exited(pid):
@@ -163,9 +173,14 @@ class TestSqliteResume:
 
 
 class TestSigkillResume:
-    @pytest.mark.parametrize("backend", ["jsonl", "sqlite"])
+    @pytest.mark.parametrize("backend, start_method", [
+        pytest.param("jsonl", None, id="jsonl"),
+        pytest.param("sqlite", None, id="sqlite"),
+        pytest.param("jsonl", "forkserver", id="jsonl-forkserver"),
+    ])
     def test_sigkill_midrun_then_resume_bit_identical(self, tmp_path,
-                                                      backend):
+                                                      backend,
+                                                      start_method):
         """SIGKILL a real ``repro campaign run`` subprocess once the
         store holds at least a third of the grid, then resume in-process
         against the survivors. The finished record set must match a
@@ -179,6 +194,8 @@ class TestSigkillResume:
         env = dict(os.environ)
         env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH",
                                                            "")
+        if start_method is not None:
+            env["REPRO_CAMPAIGN_START_METHOD"] = start_method
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro", "campaign", "run",
              str(spec_path), "--results", str(results),
@@ -198,15 +215,18 @@ class TestSigkillResume:
                     pass  # store not created yet
                 time.sleep(0.02)
             store.close()
-            workers = child_pids(proc.pid)
+            workers = descendant_pids(proc.pid)
         finally:
-            if proc.poll() is None:
+            killed = proc.poll() is None
+            if killed:
                 proc.send_signal(signal.SIGKILL)
             proc.wait(timeout=30)
 
         # Nobody sends a SIGKILLed run's queue workers the exit
         # sentinel; they must notice the dead parent and exit on their
         # own instead of idling forever as orphans.
+        if killed and os.path.isdir("/proc"):
+            assert workers, "the killed run had no worker processes"
         deadline = time.monotonic() + 30.0
         while (time.monotonic() < deadline
                and not all(exited(pid) for pid in workers)):
