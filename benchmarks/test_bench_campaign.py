@@ -56,7 +56,7 @@ def test_bench_campaign_bitwise_and_cache(benchmark, report):
     assert identical
     assert rerun.n_executed == 0
     assert rerun.cache_hit_rate == 1.0
-    # Distinct pool pids prove the points really ran out-of-process.
+    # Distinct worker pids prove the points really ran out-of-process.
     fresh_workers = {r["worker"] for r in parallel.records}
     assert os.getpid() not in fresh_workers
 

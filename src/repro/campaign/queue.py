@@ -204,7 +204,7 @@ def _queue_worker(task_q, result_q, kind, campaign, base_seed, retries,
                   timeout_s, trace_dir, initializer, initargs,
                   heartbeat_s=None):
     """Worker loop: run assigned units, stream records, ack, exit on
-    the ``None`` sentinel.
+    the ``None`` sentinel with a final ``exit`` message.
 
     Runs in a child process reading its *own* task queue. Which units
     this worker holds is recorded parent-side at assignment time — no
@@ -266,6 +266,9 @@ def _queue_worker(task_q, result_q, kind, campaign, base_seed, retries,
                                obs_metrics.current_registry().snapshot()}))
             except (OSError, ValueError):
                 pass
+    # Last message of a clean exit: the parent drains up to it instead
+    # of waiting for the pipe to go quiet.
+    result_q.put(("exit", -1, pid, None))
 
 
 def _lost_point_record(spec, code_version, point, key):
@@ -511,12 +514,21 @@ def run_local_queue(spec, code_version, todo, workers, retries, timeout_s,
                 proc.terminate()
                 proc.join(timeout=1.0)
         # Workers have exited; drain their final acks (and any stray
-        # duplicates) so the stats below reflect the whole run.
+        # duplicates) so the stats below reflect the whole run. A clean
+        # exit's last message is "exit"; a worker that was terminated
+        # sends none, so only then wait for the pipe to go quiet.
+        exiting = {pid for pid, (proc, _) in procs.items()
+                   if proc.exitcode == 0}
+        settle = len(exiting) < len(procs)
         while True:
             try:
-                handle(inbox.get(timeout=0.05))
+                msg = inbox.get(timeout=0.05 if exiting or settle else 0)
             except stdlib_queue.Empty:
                 break
+            if msg[0] == "exit":
+                exiting.discard(msg[2])
+            else:
+                handle(msg)
         for _, task_q in procs.values():
             task_q.close()
             task_q.cancel_join_thread()
