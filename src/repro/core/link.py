@@ -591,6 +591,14 @@ class LinkSimulator:
 
 # -- cross-point grids -------------------------------------------------------
 
+#: Most rows x trellis steps one grid ``receive_batch`` call decodes. A
+#: rate's SNR columns are stacked into one call up to this budget, so the
+#: survivor decisions (64 bytes per row-step) stay under ~13 MB whatever
+#: the grid's width; four 8-packet columns of a 500-byte frame (4,104
+#: steps at 54 Mbps) fit in one call.
+GRID_ROW_STEPS = 200_000
+
+
 def grid_trial_draws(entropy, t, payload_bytes, n_max, channel):
     """Base draws for grid trial ``t``: (payload, h, noise).
 
@@ -716,18 +724,30 @@ def run_link_grid(phys, snr_values_db, n_packets=100, payload_bytes=100, *,
             tx = phy.transmit_batch(payloads)  # (m, n), shared by SNRs
             power = np.mean(np.abs(tx) ** 2, axis=1)
             rx_clean = hs[:, None] * tx if channel == "rayleigh" else tx
-            for k, s in cols:
-                noise_var = power / snr_lin[s]
-                rx = (rx_clean
-                      + np.sqrt(noise_var / 2.0)[:, None] * noise[:, :n])
+            # Every row decodes independently, so the rate's SNR columns
+            # share one receive call (one SIGNAL and one data trellis
+            # sweep) as far as the row budget allows.
+            steps = phy.n_symbols(payload_bytes) * phy.rate.n_dbps
+            per_call = max(1, GRID_ROW_STEPS // (m * steps))
+            for first in range(0, len(cols), per_call):
+                block = cols[first:first + per_call]
+                noise_var = np.empty(len(block) * m)
+                rx = np.empty((len(block) * m, n), dtype=np.complex128)
+                for j, (_, s) in enumerate(block):
+                    rows = slice(j * m, (j + 1) * m)
+                    noise_var[rows] = power / snr_lin[s]
+                    rx[rows] = (rx_clean + np.sqrt(noise_var[rows] / 2.0)
+                                [:, None] * noise[:, :n])
                 psdus = phy.receive_batch(rx, noise_var)
-                for payload, got in zip(payloads, psdus):
-                    if got is None:
-                        errs = 8 * len(payload)
-                    else:
-                        errs = LinkSimulator._byte_errors(payload, got)
-                    bits[k] += errs
-                    pkt[k] += int(errs > 0)
+                for j, (k, _) in enumerate(block):
+                    for payload, got in zip(payloads,
+                                            psdus[j * m:(j + 1) * m]):
+                        if got is None:
+                            errs = 8 * len(payload)
+                        else:
+                            errs = LinkSimulator._byte_errors(payload, got)
+                        bits[k] += errs
+                        pkt[k] += int(errs > 0)
             obs.counter("link.packets", m * len(cols))
         return {"packet_error": pkt, "bit_errors": bits}
 

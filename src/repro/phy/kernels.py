@@ -25,9 +25,10 @@ Backend selection, in precedence order:
 
 Requesting ``numba`` when it is not installed raises
 :class:`~repro.errors.ConfigurationError` (a clean CLI error, exit 2),
-never an ``ImportError`` traceback. Parity between the two backends is
-enforced bit-exactly by ``tests/test_kernels.py`` against the
-``tests/test_phy_goldens.py`` golden vectors.
+never an ``ImportError`` traceback. ``tests/test_kernels.py`` checks
+every available backend against a plain-Python ACS and traceback, and
+both backends are held bit-exactly to the ``tests/test_phy_goldens.py``
+golden vectors.
 """
 
 from __future__ import annotations
@@ -254,29 +255,51 @@ def viterbi_forward(llr_a, llr_b, sign_a, sign_b, backend=None):
         return decisions, metrics
     # numpy: both predecessor candidates of every state carried in one
     # (batch, 2, 32, 2) block — [half of the state space, i, predecessor]
-    # — so each trellis step is a handful of whole-array ufunc calls
-    # with no gather: state h*32+i has predecessors (2i, 2i+1) regardless
-    # of h, so the predecessor metrics are just metrics.reshape(batch,
-    # 32, 2) broadcast over both halves. Additions stay in the exact
+    # — so each trellis step is four whole-array ufunc calls writing into
+    # preallocated memory, with no gather: state h*32+i has predecessors
+    # (2i, 2i+1) regardless of h, so the predecessor metrics are just
+    # metrics.reshape(batch, 32, 2) broadcast over both halves. The
+    # sign * llr branch terms of a chunk of steps are formed in one call
+    # each (multiplying by +-1 is exact). Additions stay in the exact
     # (metric + a-branch) + b-branch order of the scalar formulation, so
     # path metrics are bit-identical to it (and to the numba loop).
+    # maximum(c1, c0) gives the value the scalar c1 > c0 select gives; it
+    # may differ only in a zero's sign, which no later comparison sees,
+    # and on NaN, which finite LLRs never produce.
     sa = sign_a.reshape(2, 32, 2)
     sb = sign_b.reshape(2, 32, 2)
-    bm = np.empty((batch, 2, 32, 2))
+    chunk = max(1, min(n_steps, acs_chunk(batch)))
+    bm_a = np.empty((chunk, batch, 2, 32, 2))
+    bm_b = np.empty((chunk, batch, 2, 32, 2))
     cand = np.empty((batch, 2, 32, 2))
-    for t in range(n_steps):
-        la = llr_a[:, t, None, None, None]
-        lb = llr_b[:, t, None, None, None]
-        np.multiply(sa, la, out=bm)
-        np.add(metrics.reshape(batch, 1, 32, 2), bm, out=cand)
-        np.multiply(sb, lb, out=bm)
-        np.add(cand, bm, out=cand)
-        take1 = cand[:, :, :, 1] > cand[:, :, :, 0]
-        decisions[t] = take1.reshape(batch, 64)
-        metrics = np.where(
-            take1, cand[:, :, :, 1], cand[:, :, :, 0]
-        ).reshape(batch, 64)
+    pred = metrics.reshape(batch, 1, 32, 2)
+    best = metrics.reshape(batch, 2, 32)
+    take1 = decisions.reshape(n_steps, batch, 2, 32)
+    c0 = cand[:, :, :, 0]
+    c1 = cand[:, :, :, 1]
+    for lo in range(0, n_steps, chunk):
+        k = min(chunk, n_steps - lo)
+        np.multiply(sa, llr_a[:, lo:lo + k].T[:, :, None, None, None],
+                    out=bm_a[:k])
+        np.multiply(sb, llr_b[:, lo:lo + k].T[:, :, None, None, None],
+                    out=bm_b[:k])
+        for j in range(k):
+            np.add(pred, bm_a[j], out=cand)
+            np.add(cand, bm_b[j], out=cand)
+            np.greater(c1, c0, out=take1[lo + j])
+            np.maximum(c1, c0, out=best)
     return decisions, metrics
+
+
+#: Branch-metric values the numpy ACS sweep precomputes per buffer; the
+#: chunk of trellis steps shrinks as the batch grows, so each of its two
+#: buffers stays at 256 KiB whatever the batch.
+ACS_CHUNK_VALUES = 1 << 15
+
+
+def acs_chunk(batch):
+    """Trellis steps whose branch terms the numpy sweep forms at once."""
+    return max(1, ACS_CHUNK_VALUES // (128 * max(1, int(batch))))
 
 
 def viterbi_traceback(decisions, start_states, backend=None):

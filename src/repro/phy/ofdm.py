@@ -448,9 +448,11 @@ class OfdmPhy:
         if active.size == 0:
             return psdus, details, errors
 
-        # Per-subcarrier noise variance after the scaled FFT.
-        carrier_nv = noise_vars * len(_USED_BINS) / OFDM_FFT_SIZE
-        nv_data = carrier_nv[:, None] / np.abs(h[:, _DATA_BINS]) ** 2
+        # Per-subcarrier noise variance after the scaled FFT, for the
+        # active rows only: a dropped row's null would divide by zero.
+        h_data = h[active][:, _DATA_BINS]
+        carrier_nv = noise_vars[active] * len(_USED_BINS) / OFDM_FFT_SIZE
+        nv_data = carrier_nv[:, None] / np.abs(h_data) ** 2
 
         # SIGNAL field: one FFT + soft demap + Viterbi sweep for all rows.
         cursor = PREAMBLE_SAMPLES
@@ -458,9 +460,9 @@ class OfdmPhy:
             rows[active, cursor : cursor + OFDM_SYMBOL_SAMPLES]
         )
         cursor += OFDM_SYMBOL_SAMPLES
-        eq = sig_freq[:, _DATA_BINS] / h[active][:, _DATA_BINS]
+        eq = sig_freq[:, _DATA_BINS] / h_data
         llr = self._signal_modulator.demodulate_soft(
-            eq.ravel(), nv_data[active].ravel()
+            eq.ravel(), nv_data.ravel()
         )
         sig_soft = deinterleave(llr.reshape(active.size, 48), 48, 1)
         sig_bits = cc.viterbi_decode(sig_soft, 18, rate="1/2", terminated=True)
@@ -490,6 +492,7 @@ class OfdmPhy:
 
         for psdu_len, members in groups.items():
             row_ids = np.array([i for _, i in members])
+            positions = np.array([pos for pos, _ in members])
             n_sym = self.n_symbols(psdu_len)
             g = row_ids.size
             blocks = rows[
@@ -507,7 +510,7 @@ class OfdmPhy:
             )
             freq = freq * np.exp(-1j * cpe)[:, :, None]
             eq = freq[:, :, _DATA_BINS] / hg[:, None, :][:, :, _DATA_BINS]
-            nv = np.broadcast_to(nv_data[row_ids][:, None, :], eq.shape)
+            nv = np.broadcast_to(nv_data[positions][:, None, :], eq.shape)
             llr = self.modulator.demodulate_soft(
                 eq.ravel(), np.ascontiguousarray(nv).ravel()
             )

@@ -214,6 +214,100 @@ class TestNumbaParity:
             kernels.viterbi_traceback(d_np, start, backend="numba"))
 
 
+def _parity(value):
+    return bin(value).count("1") & 1
+
+
+def _reference_viterbi(llr_a, llr_b):
+    """Plain-Python ACS sweep straight from the (133, 171) generators.
+
+    State ``s`` holds the six previous inputs, newest in bit 5; input
+    ``u`` forms the window ``(u << 6) | s`` and moves to ``window >> 1``.
+    Each next state ``ns`` is entered on input ``ns >> 5`` from its even
+    predecessor ``(ns & 31) << 1`` or its odd one (``| 1``). The odd one
+    wins only when its candidate is strictly larger, and each candidate
+    is ``(metric + a-branch) + b-branch`` in that order.
+    """
+    batch, n_steps = llr_a.shape
+    decisions = np.zeros((n_steps, batch, 64), dtype=bool)
+    finals = []
+    for b in range(batch):
+        metric = [0.0] + [-np.inf] * 63
+        for t in range(n_steps):
+            la, lb = float(llr_a[b, t]), float(llr_b[b, t])
+            new = [0.0] * 64
+            for ns in range(64):
+                cands = []
+                for pred in ((ns & 31) << 1, ((ns & 31) << 1) | 1):
+                    window = ((ns >> 5) << 6) | pred
+                    sa = 1.0 - 2.0 * _parity(window & cc.G0)
+                    sb = 1.0 - 2.0 * _parity(window & cc.G1)
+                    cands.append((metric[pred] + sa * la) + sb * lb)
+                take1 = cands[1] > cands[0]
+                decisions[t, b, ns] = take1
+                new[ns] = cands[1] if take1 else cands[0]
+            metric = new
+        finals.append(metric)
+    return decisions, np.array(finals)
+
+
+def _reference_traceback(decisions, start_states):
+    n_steps, batch, _ = decisions.shape
+    decoded = np.zeros((batch, n_steps), dtype=np.int8)
+    for b in range(batch):
+        state = int(start_states[b])
+        for t in range(n_steps - 1, -1, -1):
+            decoded[b, t] = state >> 5
+            pred0 = (state & 31) << 1
+            state = pred0 | 1 if decisions[t, b, state] else pred0
+    return decoded
+
+
+def _reference_cases():
+    """(batch, n_steps) pairs around the numpy sweep's chunk boundary."""
+    cases = []
+    for batch in (1, 5):
+        chunk = kernels.acs_chunk(batch)
+        for n_steps in sorted({1, chunk - 1, chunk, chunk + 1, 300} - {0}):
+            cases.append((batch, n_steps))
+    return cases
+
+
+class TestReferenceDecoder:
+    """Every backend equals a plain-Python ACS and traceback.
+
+    Decisions and decoded bits must match bit for bit and final metrics
+    in value (a zero's sign is free: no later comparison can see it).
+    LLRs include punctured zeros, and hard +-1 values that make equal
+    candidates common, so the tie rule (the even predecessor wins) is
+    exercised as well as the -inf start metrics of the unreached states.
+    """
+
+    @pytest.mark.parametrize("backend", kernels.available_backends())
+    @pytest.mark.parametrize("batch,n_steps", _reference_cases())
+    @pytest.mark.parametrize("style", ["soft", "hard"])
+    def test_matches_reference(self, backend, batch, n_steps, style):
+        rng = np.random.default_rng([batch, n_steps])
+        shape = (batch, n_steps)
+        if style == "soft":
+            llr_a, llr_b = rng.normal(size=shape), rng.normal(size=shape)
+        else:
+            llr_a = 1.0 - 2.0 * rng.integers(0, 2, shape)
+            llr_b = 1.0 - 2.0 * rng.integers(0, 2, shape)
+        llr_a[rng.random(shape) < 0.25] = 0.0
+        llr_b[rng.random(shape) < 0.25] = 0.0
+        want_dec, want_metrics = _reference_viterbi(llr_a, llr_b)
+        dec, metrics = kernels.viterbi_forward(
+            llr_a, llr_b, cc._SIGN_A, cc._SIGN_B, backend=backend)
+        assert_array_equal(dec, want_dec)
+        assert_array_equal(metrics, want_metrics)
+        for start in (np.zeros(batch, dtype=np.int64),
+                      np.argmax(want_metrics, axis=1)):
+            assert_array_equal(
+                kernels.viterbi_traceback(dec, start, backend=backend),
+                _reference_traceback(want_dec, start))
+
+
 class TestDecodePlanCache:
     """Repeated viterbi_decode calls must do no table construction."""
 

@@ -13,9 +13,12 @@ import pytest
 from repro.campaign import make_store, summary_lines
 from repro.campaign.runner import run_campaign
 from repro.campaign.spec import CampaignSpec
+from repro.core import link
 from repro.core.link import LinkSimulator, run_link_grid
 from repro.core.mc import analytic_result, run_grid_trials
 from repro.errors import ConfigurationError
+from repro.phy import convolutional as cc
+from repro.phy.ofdm import OfdmPhy
 
 SNRS = [4.0, 10.0]
 PHYS = ["ofdm-6", "ofdm-24"]
@@ -157,6 +160,52 @@ class TestCrossPointIdentity:
         with pytest.raises(ConfigurationError, match="analytic_floor"):
             run_link_grid("ofdm-6", SNRS, n_packets=2, payload_bytes=20,
                           analytic_floor=2.0, rng=0)
+
+
+@pytest.fixture
+def decode_calls(monkeypatch):
+    """Record the rows of every OFDM receive and Viterbi decode call."""
+    calls = {"receive": [], "viterbi": []}
+    receive_batch = OfdmPhy.receive_batch
+    viterbi_decode = cc.viterbi_decode
+
+    def counting_receive(self, samples, noise_vars):
+        calls["receive"].append(len(samples))
+        return receive_batch(self, samples, noise_vars)
+
+    def counting_viterbi(soft_bits, *args, **kwargs):
+        calls["viterbi"].append(len(soft_bits))
+        return viterbi_decode(soft_bits, *args, **kwargs)
+
+    monkeypatch.setattr(OfdmPhy, "receive_batch", counting_receive)
+    monkeypatch.setattr(cc, "viterbi_decode", counting_viterbi)
+    return calls
+
+
+class TestStackedReceive:
+    """A rate's SNR columns share one receive call, within the row budget."""
+
+    def test_one_receive_call_per_rate(self, decode_calls):
+        run_link_grid("ofdm-6", [24.0, 26.0, 28.0, 30.0], n_packets=5,
+                      payload_bytes=40, rng=7, batch_size=5)
+        assert decode_calls["receive"] == [4 * 5]
+        assert decode_calls["viterbi"] == [4 * 5, 4 * 5]  # SIGNAL, data
+
+    def test_budget_split_matches_per_point(self, decode_calls, monkeypatch):
+        kwargs = dict(n_packets=6, payload_bytes=30, rng=11)
+        snrs = [6.0, 9.0, 12.0]
+        whole = run_link_grid("ofdm-24", snrs, **kwargs)
+        assert decode_calls["receive"] == [18]
+        # A budget of two 6-row columns splits the three columns 2 + 1.
+        phy = OfdmPhy(24)
+        steps = phy.n_symbols(30) * phy.rate.n_dbps
+        monkeypatch.setattr(link, "GRID_ROW_STEPS", 2 * 6 * steps + 1)
+        decode_calls["receive"].clear()
+        split = run_link_grid("ofdm-24", snrs, **kwargs)
+        assert decode_calls["receive"] == [12, 6]
+        per_point = run_link_grid("ofdm-24", snrs, cross_point=False,
+                                  **kwargs)
+        assert _counts(split[0]) == _counts(whole[0]) == _counts(per_point[0])
 
 
 class TestAnalyticFastPath:

@@ -115,6 +115,25 @@ class TestRoundTrip:
             OfdmPhy(54).receive(wave, 1e-10)
 
 
+class TestReceiveBatch:
+    @pytest.mark.filterwarnings("error")
+    def test_dead_row_fails_alone(self, message, rng):
+        """A row whose channel estimate has a null comes back None alone.
+
+        The all-zero middle row must not poison its batch: under
+        warnings-as-errors a division by its null channel estimate
+        would raise for the whole call.
+        """
+        phy = OfdmPhy(12)
+        waves = phy.transmit_batch([message] * 3)
+        waves[1] = 0.0
+        noise_var = np.full(3, 1e-3)
+        waves[[0, 2]] += np.sqrt(noise_var[0] / 2) * (
+            rng.normal(size=(2, waves.shape[1]))
+            + 1j * rng.normal(size=(2, waves.shape[1])))
+        assert phy.receive_batch(waves, noise_var) == [message, None, message]
+
+
 class TestFraming:
     def test_duration_formula(self):
         phy = OfdmPhy(54)

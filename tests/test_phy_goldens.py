@@ -16,6 +16,7 @@ from numpy.testing import assert_array_equal
 
 from repro.channel.awgn import awgn_noise
 from repro.core.link import LinkSimulator
+from repro.errors import DemodulationError
 from repro.phy import convolutional as cc
 from repro.phy.dsss_ppdu import HrDsssPpdu
 from repro.phy.interleaver import (
@@ -224,3 +225,40 @@ class TestBatchedWaveformEquivalence:
         got = phy.receive_batch(noisy, noise_var)
         for i, p in enumerate(payloads):
             assert got[i] == phy.receive(noisy[i], noise_var[i])
+
+    @pytest.mark.filterwarnings("error")
+    def test_ofdm_receive_batch_mixed_rows(self):
+        """One call stacking rows of every kind equals per-row receive().
+
+        Rows at 0-30 dB, a row whose LTF is zeroed (its channel estimate
+        is all nulls) and a shorter PSDU, zero-padded, whose SIGNAL field
+        advertises a different length: each must come back exactly as
+        ``receive`` on that row alone, PSDU or failure.
+        """
+        rng = np.random.default_rng(12)
+        phy = OfdmPhy(24)
+        payloads = [bytes(rng.integers(0, 256, 30, dtype=np.uint8).tolist())
+                    for _ in range(7)]
+        waves = phy.transmit_batch(payloads)
+        short = phy.transmit(payloads[0][:12])
+        rows = np.zeros((9, waves.shape[1]), dtype=np.complex128)
+        rows[:7] = waves
+        rows[7] = waves[0]
+        rows[8, :short.size] = short
+        snr_db = np.array([0.0, 3.0, 6.0, 10.0, 15.0, 20.0, 30.0, 25.0, 25.0])
+        power = np.mean(np.abs(waves[0]) ** 2)
+        noise_var = power / 10.0 ** (snr_db / 10.0)
+        for i, nv in enumerate(noise_var):
+            rows[i] += awgn_noise(rows.shape[1], nv, rng)
+        rows[7, 160:320] = 0.0  # LTF: a nulled channel estimate
+        got = phy.receive_batch(rows, noise_var)
+        for i in range(rows.shape[0]):
+            try:
+                want = phy.receive(rows[i], noise_var[i])
+            except DemodulationError:
+                want = None
+            assert got[i] == want, f"row {i} at {snr_db[i]} dB"
+        assert got[7] is None
+        assert got[8] == payloads[0][:12]
+        assert got[6] == payloads[6]
+
