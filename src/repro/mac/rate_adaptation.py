@@ -24,6 +24,8 @@ from repro.analysis.per import per_from_snr
 from repro.errors import ConfigurationError
 from repro.standards.registry import get_standard
 from repro.utils.rng import as_generator
+from repro.utils.validation import (require_finite, require_positive,
+                                    require_snr_array)
 
 
 class ArfController:
@@ -145,28 +147,50 @@ def simulate_rate_adaptation(controller, snr_trace_db, payload_bits=8000,
     probability becomes ``link.per_for_rate(rate, snr)``, so the
     controller is exercised against the PHY the paper actually
     simulates instead of a smooth stand-in.
+
+    The controller loop stays sequential (ARF's next rate depends on the
+    last outcome), but its table work is batched: all uniforms are drawn
+    up front with one ``rng.random(n)`` (the same numbers and generator
+    state as ``n`` scalar draws), and the first time the controller picks
+    a rung, that rung's PER is looked up over the whole trace at once. A
+    rung the controller never picks costs nothing. Hence the ``link``
+    contract: ``link.per_for_rate(rate_mbps, snr_db)`` must be a pure
+    function of its arguments and must accept an SNR array.
+    :class:`~repro.surrogate.AbstractLink` meets it, and so does a
+    single-rate :class:`~repro.surrogate.WaveformLink`, whose memo is
+    still visited in trace order.
+
+    A non-finite SNR step or a non-positive ``payload_bits`` raises
+    :class:`ConfigurationError` before ``rng`` is touched.
     """
-    rng = as_generator(rng)
-    snr_trace_db = np.asarray(snr_trace_db, dtype=float).ravel()
-    if snr_trace_db.size == 0:
-        raise ConfigurationError("empty SNR trace")
+    snr_trace_db = require_snr_array("snr_trace_db", snr_trace_db)
+    require_positive("payload_bits", require_finite("payload_bits",
+                                                    payload_bits))
+    uniforms = as_generator(rng).random(snr_trace_db.size).tolist()
+    # PER over the whole trace per rung, filled on the rung's first use;
+    # keyed by rate and required SNR, the inputs of the two oracles.
+    per_rows = {}
     successes = 0
     switches = 0
     rate_sum = 0.0
     airtime_s = 0.0
     last_rate = None
-    for snr in snr_trace_db:
+    for step, snr in enumerate(snr_trace_db):
         entry = controller.choose_rate(snr)
         if last_rate is not None and entry.rate_mbps != last_rate:
             switches += 1
         last_rate = entry.rate_mbps
         rate_sum += entry.rate_mbps
         airtime_s += payload_bits / (entry.rate_mbps * 1e6)
-        if link is not None:
-            per = float(link.per_for_rate(entry.rate_mbps, snr))
-        else:
-            per = float(per_from_snr(snr, entry.required_snr_db))
-        success = bool(rng.random() > per)
+        key = (entry.rate_mbps, entry.required_snr_db)
+        row = per_rows.get(key)
+        if row is None:
+            if link is not None:
+                row = link.per_for_rate(entry.rate_mbps, snr_trace_db)
+            else:
+                row = per_from_snr(snr_trace_db, entry.required_snr_db)
+            row = per_rows[key] = np.asarray(row, dtype=float).tolist()
+        success = uniforms[step] > row[step]
         controller.record(success)
         successes += success
     throughput = successes * payload_bits / airtime_s / 1e6

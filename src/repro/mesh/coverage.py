@@ -79,17 +79,22 @@ def coverage_result(mesh_positions, area_side_m, min_rate_mbps=6.0,
     # exists iff node shares the portal's connected component. One
     # component lookup replaces N shortest-path searches.
     reachable = set(nx.node_connected_component(net.graph, int(portal)))
-    reach_pos = positions[sorted(reachable)]
+    reach_x, reach_y = positions[sorted(reachable)].T
     threshold_db = _coverage_threshold_snr_db(std, min_rate_mbps)
 
     def sample_batch(rng, m):
         points = rng.uniform(0.0, area_side_m, size=(m, 2))
         if not reachable or (link is None and threshold_db is None):
             return {"covered": 0}
-        # (m, n_reachable) distance matrix; nearest mesh point decides.
-        d = np.sqrt(((points[:, None, :] - reach_pos[None, :, :]) ** 2)
-                    .sum(axis=2))
-        nearest = np.maximum(d.min(axis=1), 0.1)
+        # (m, n_reachable) squared distances, squared in place; nearest
+        # mesh point decides. sqrt is monotone and correctly rounded, so
+        # the root of the row minimum is the minimum of the rooted row.
+        d2 = points[:, :1] - reach_x
+        d2 *= d2
+        dy = points[:, 1:] - reach_y
+        dy *= dy
+        d2 += dy
+        nearest = np.maximum(np.sqrt(d2.min(axis=1)), 0.1)
         snr = budget.snr_at(nearest)
         if link is not None:
             ok = np.asarray(link.per_at(snr)) <= float(max_per)

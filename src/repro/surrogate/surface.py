@@ -177,15 +177,22 @@ class PerSurface:
             ) from None
 
     def rate_index(self, rate_mbps):
-        """Index of the phy whose PHY rate matches ``rate_mbps``."""
-        match = np.nonzero(np.isclose(self.rate_mbps, float(rate_mbps),
-                                      rtol=1e-9, atol=1e-6))[0]
-        if match.size == 0:
-            raise ConfigurationError(
-                f"surface {self.name!r} has no phy at {rate_mbps} Mbps; "
-                f"rates: {sorted(set(self.rate_mbps.tolist()))}"
-            )
-        return int(match[0])
+        """Index of the phy whose PHY rate matches ``rate_mbps``.
+
+        The first rate ``r`` with ``|r - x| <= 1e-6 + 1e-9 * |x|`` wins:
+        the ``np.isclose`` test (infinities match only themselves, NaN
+        nothing), done over plain floats.
+        """
+        x = float(rate_mbps)
+        finite = math.isfinite(x)
+        tol = 1e-6 + 1e-9 * abs(x)
+        for i, r in enumerate(self.rate_mbps.tolist()):
+            if r == x or (finite and abs(r - x) <= tol):
+                return i
+        raise ConfigurationError(
+            f"surface {self.name!r} has no phy at {rate_mbps} Mbps; "
+            f"rates: {sorted(set(self.rate_mbps.tolist()))}"
+        )
 
     # -- interpolation -------------------------------------------------------
 

@@ -1,15 +1,21 @@
 """Tests for mesh coverage analysis."""
 
+import networkx as nx
 import numpy as np
 import pytest
 
+from repro.analysis.linkbudget import LinkBudget
 from repro.errors import ConfigurationError
 from repro.mesh.coverage import (
     coverage_area_m2,
     coverage_fraction,
+    coverage_result,
     single_ap_radius_m,
 )
+from repro.mesh.network import MeshNetwork
 from repro.mesh.topology import grid_positions
+from repro.standards.registry import get_standard
+from repro.surrogate import AbstractLink, PerSurface
 
 
 class TestSingleApRadius:
@@ -104,3 +110,79 @@ class TestCoverage:
             if entry is not None and entry.rate_mbps >= min_rate:
                 covered += 1
         assert vec == covered / n_samples
+
+
+def access_link():
+    """One-phy hand-built surface: PER 1 -> 0 across 0..30 dB."""
+    per = np.array([[[1.0, 0.5, 0.04, 0.0]]])
+    return AbstractLink(PerSurface(
+        name="access", channel="awgn", phys=["ofdm-54"], rate_mbps=[54.0],
+        snr_db=[0.0, 10.0, 20.0, 30.0], payload_bytes=[1000], per=per,
+        per_ci_low=per, per_ci_high=per, ber=per / 100.0,
+        n_trials=np.full(per.shape, 100.0),
+    ))
+
+
+def reference_covered(positions, side, n_samples, seed, link=None,
+                      max_per=0.1, min_rate_mbps=6.0, portal=0):
+    """Covered count from the full ``(m, n, 2)`` distance matrix.
+
+    Reachability is tested node by node with ``nx.has_path``; the sample
+    points are the same ``n_samples`` uniform draws the engine makes.
+    """
+    budget = LinkBudget()
+    std = get_standard("802.11a")
+    net = MeshNetwork(positions, std, budget)
+    reach = [j for j in range(len(positions))
+             if nx.has_path(net.graph, portal, j)]
+    points = np.random.default_rng(seed).uniform(0.0, side, (n_samples, 2))
+    d = np.sqrt(((points[:, None, :] - positions[reach][None, :, :]) ** 2)
+                .sum(axis=2))
+    snr = budget.snr_at(np.maximum(d.min(axis=1), 0.1))
+    if link is not None:
+        return int(np.count_nonzero(np.asarray(link.per_at(snr)) <= max_per))
+    entries = [std.rate_at_snr(s) for s in snr]
+    return sum(e is not None and e.rate_mbps >= min_rate_mbps
+               for e in entries)
+
+
+def layout(kind, seed):
+    """Seeded mesh layouts with a known share of portal-reachable nodes."""
+    rng = np.random.default_rng(seed)
+    jitter = rng.uniform(-5.0, 5.0, size=(9, 2))
+    if kind == "one-reachable":
+        # The portal is an island: the other nodes sit inside the area
+        # but out of its link range.
+        return np.array([[40.0, 40.0], [200.0, 60.0], [60.0, 200.0]]) \
+            + jitter[:3]
+    if kind == "all-reachable":
+        return grid_positions(3, 55.0) + 65.0 + jitter
+    # Two 2x2 clusters far apart: only the portal's cluster counts.
+    near = grid_positions(2, 50.0) + 30.0
+    far = grid_positions(2, 50.0) + 170.0
+    return np.concatenate([near, far]) + jitter[:8]
+
+
+class TestCoverageMatchesDistanceMatrix:
+    AREA = 240.0
+    N_SAMPLES = 1500  # two engine batches of the default 1000
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["one-reachable", "all-reachable",
+                                      "partly-disconnected"])
+    @pytest.mark.parametrize("with_link", [False, True])
+    def test_n_events_identical(self, kind, seed, with_link):
+        positions = layout(kind, seed)
+        link = access_link() if with_link else None
+        net = MeshNetwork(positions, "802.11a", LinkBudget())
+        n_reach = len(nx.node_connected_component(net.graph, 0))
+        expected_reach = {"one-reachable": 1, "all-reachable": 9,
+                          "partly-disconnected": 4}[kind]
+        assert n_reach == expected_reach
+        kwargs = {"link": link} if with_link else {}
+        result = coverage_result(positions, self.AREA,
+                                 n_samples=self.N_SAMPLES, rng=seed,
+                                 **kwargs)
+        assert result.n_events == reference_covered(
+            positions, self.AREA, self.N_SAMPLES, seed, link=link)
+        assert 0 < result.n_events < self.N_SAMPLES

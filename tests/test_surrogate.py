@@ -133,6 +133,23 @@ class TestPerSurface:
             s.per_for_rate(54.0, 5.0)
         assert s.per_for_rate(1.0, 0.0) == 0.1
 
+    def test_rate_index_matches_isclose(self):
+        rates = [6.0, 6.0 + 5e-7, 9.0, np.inf, -np.inf, np.nan, 1e9,
+                 1e9 + 0.5, 0.0]
+        s = toy_surface(np.zeros((len(rates), 2)),
+                        phys=[f"p{i}" for i in range(len(rates))],
+                        rates=rates)
+        queries = rates + [6.0000009, 6.0000021, 8.999999, 1e9 + 1.5,
+                           1e9 + 2.5, -1e-6, 5e-7, np.float64(9.0)]
+        for q in queries:
+            match = np.nonzero(np.isclose(s.rate_mbps, float(q),
+                                          rtol=1e-9, atol=1e-6))[0]
+            if match.size:
+                assert s.rate_index(q) == match[0], q
+            else:
+                with pytest.raises(ConfigurationError, match="no phy at"):
+                    s.rate_index(q)
+
     def test_cell_lookup_requires_grid_point(self):
         s = toy_surface([[0.1, 0.001]])
         assert s.cell("dsss-1", 10.0, 100)["per"] == 0.001
