@@ -25,6 +25,11 @@ paper surveys:
   spans, counters, per-process JSONL traces, ``repro trace report``.
 * ``repro.analysis`` — closed-form BER/capacity/link-budget yardsticks.
 
+``import repro`` itself loads no subpackage. The top-level names
+(``repro.LinkSimulator``, ``repro.run_campaign``, ...) and the
+subpackages (``repro.mesh``, ...) resolve on first use, so a link user
+never pays for networkx or ``scipy.signal``.
+
 Quick start::
 
     from repro import LinkSimulator
@@ -32,21 +37,31 @@ Quick start::
     print(result.per, result.goodput_mbps)
 """
 
-from repro.analysis.linkbudget import LinkBudget
-from repro.campaign import CampaignSpec, ResultsStore, run_campaign
-from repro.core.evolution import evolution_report, format_evolution_table
-from repro.core.link import LinkResult, LinkSimulator
-from repro.errors import (
-    CodingError,
-    ConfigurationError,
-    DemodulationError,
-    LinkBudgetError,
-    ReproError,
-    SimulationError,
-)
-from repro.mac.dcf import DcfSimulator
-from repro.mesh.network import MeshNetwork
-from repro.standards.registry import GENERATIONS, get_standard
+import importlib
+import importlib.util
+
+#: Each top-level name and the module that defines it; ``__getattr__``
+#: (PEP 562) imports that module the first time the name is used.
+_EXPORTS = {
+    "LinkBudget": "repro.analysis.linkbudget",
+    "CampaignSpec": "repro.campaign",
+    "ResultsStore": "repro.campaign",
+    "run_campaign": "repro.campaign",
+    "evolution_report": "repro.core.evolution",
+    "format_evolution_table": "repro.core.evolution",
+    "LinkResult": "repro.core.link",
+    "LinkSimulator": "repro.core.link",
+    "CodingError": "repro.errors",
+    "ConfigurationError": "repro.errors",
+    "DemodulationError": "repro.errors",
+    "LinkBudgetError": "repro.errors",
+    "ReproError": "repro.errors",
+    "SimulationError": "repro.errors",
+    "DcfSimulator": "repro.mac.dcf",
+    "MeshNetwork": "repro.mesh.network",
+    "GENERATIONS": "repro.standards.registry",
+    "get_standard": "repro.standards.registry",
+}
 
 __version__ = "1.0.0"
 
@@ -71,3 +86,21 @@ __all__ = [
     "get_standard",
     "__version__",
 ]
+
+
+def __getattr__(name):
+    """Resolve a top-level name or subpackage on first use and cache it."""
+    if name in _EXPORTS:
+        value = getattr(importlib.import_module(_EXPORTS[name]), name)
+    elif (not name.startswith("_")
+          and importlib.util.find_spec(f"{__name__}.{name}") is not None):
+        value = importlib.import_module(f"{__name__}.{name}")
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    """Module attributes plus the lazily resolved top-level names."""
+    return sorted(set(globals()) | set(__all__))

@@ -61,16 +61,13 @@ import argparse
 import sys
 
 from repro import obs
-from repro.core.evolution import fivefold_law, format_evolution_table
-from repro.core.link import LinkSimulator
 from repro.errors import ReproError
-from repro.mac.bianchi import bianchi_saturation_throughput
-from repro.mac.dcf import DcfSimulator
 from repro.standards.registry import GENERATIONS, get_standard
-from repro.standards.regulatory import regulatory_report
 
 
 def _cmd_evolution(_args):
+    from repro.core.evolution import fivefold_law, format_evolution_table
+
     print(format_evolution_table())
     ratio, _ = fivefold_law()
     print(f"\nfitted per-generation multiplier: {ratio:.2f}x (paper: ~5x)")
@@ -89,6 +86,8 @@ def _cmd_link(args):
                   f"{surface.channel!r}; the channel argument "
                   f"{args.channel!r} is ignored")
     else:
+        from repro.core.link import LinkSimulator
+
         sim = LinkSimulator(args.phy, args.channel, rng=args.seed,
                             kernels=getattr(args, "kernels", None))
     run_kwargs = dict(n_packets=args.packets, payload_bytes=args.bytes,
@@ -131,6 +130,9 @@ def _cmd_link(args):
 
 
 def _cmd_mac(args):
+    from repro.mac.bianchi import bianchi_saturation_throughput
+    from repro.mac.dcf import DcfSimulator
+
     sim = DcfSimulator(args.stations, "802.11a", 54, 1500, rng=args.seed)
     result = sim.run(args.duration)
     model = bianchi_saturation_throughput(args.stations, "802.11a", 54, 1500)
@@ -143,6 +145,8 @@ def _cmd_mac(args):
 
 
 def _cmd_regulatory(_args):
+    from repro.standards.regulatory import regulatory_report
+
     for row in regulatory_report():
         gain = row["processing_gain_db"]
         gain_s = f"{gain:5.1f} dB" if gain is not None else "   --   "

@@ -15,7 +15,6 @@ benchmark E15.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import brentq
 
 from repro.errors import ConfigurationError
 from repro.mac.timing import MacTiming
@@ -23,6 +22,8 @@ from repro.mac.timing import MacTiming
 
 def bianchi_tau(n_stations, cw_min=15, m_stages=6):
     """Solve the Bianchi fixed point; returns (tau, p)."""
+    from scipy.optimize import brentq
+
     if n_stations < 1:
         raise ConfigurationError("need at least one station")
     w = cw_min + 1

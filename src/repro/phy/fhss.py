@@ -17,7 +17,6 @@ Included here:
 from __future__ import annotations
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from repro.errors import ConfigurationError, DemodulationError
 from repro.utils.rng import as_generator
@@ -70,6 +69,9 @@ def gaussian_pulse(bt=0.5, samples_per_symbol=8, span=4):
     """Gaussian frequency-pulse (unit area) for GFSK with bandwidth-time bt."""
     if bt <= 0:
         raise ConfigurationError(f"BT product must be positive, got {bt}")
+    if samples_per_symbol < 1:
+        raise ConfigurationError(
+            f"need >= 1 sample per symbol, got {samples_per_symbol}")
     t = np.arange(-span / 2, span / 2, 1.0 / samples_per_symbol)
     sigma = np.sqrt(np.log(2.0)) / (2.0 * np.pi * bt)
     pulse = np.exp(-(t ** 2) / (2.0 * sigma ** 2))
@@ -118,6 +120,8 @@ class GfskModem:
 
     def modulate(self, bits):
         """GFSK-modulate bits into a unit-envelope complex baseband signal."""
+        from scipy.signal import fftconvolve
+
         symbols = self._symbols(bits)
         impulses = np.zeros(symbols.size * self.sps)
         impulses[:: self.sps] = symbols

@@ -16,7 +16,6 @@ the library's own waveforms:
 from __future__ import annotations
 
 import numpy as np
-from scipy.signal import welch
 
 from repro.constants import FCC_PROCESSING_GAIN_DB
 from repro.errors import ConfigurationError
@@ -27,6 +26,19 @@ DOT11A_SPECTRAL_MASK = ((9.0, 0.0), (11.0, -20.0), (20.0, -28.0),
                         (30.0, -40.0))
 
 
+def _welch(waveform, sample_rate_hz, nperseg):
+    """Two-sided Welch PSD; scipy.signal is loaded on first use."""
+    from scipy.signal import welch
+
+    return welch(waveform, fs=sample_rate_hz, nperseg=nperseg,
+                 return_onesided=False, detrend=False)
+
+
+def _check_nfft(nfft):
+    if nfft < 1:
+        raise ConfigurationError(f"nfft must be positive, got {nfft}")
+
+
 def power_spectral_density(waveform, sample_rate_hz, nfft=256):
     """Welch PSD of a complex baseband waveform.
 
@@ -35,11 +47,11 @@ def power_spectral_density(waveform, sample_rate_hz, nfft=256):
     (freqs_hz, psd_db) : centred frequency axis and PSD normalised so the
     peak is 0 dBr.
     """
+    _check_nfft(nfft)
     waveform = np.asarray(waveform, dtype=np.complex128).ravel()
     if waveform.size < nfft:
         raise ConfigurationError(f"waveform shorter than nfft={nfft}")
-    freqs, psd = welch(waveform, fs=sample_rate_hz, nperseg=nfft,
-                       return_onesided=False, detrend=False)
+    freqs, psd = _welch(waveform, sample_rate_hz, nfft)
     order = np.argsort(freqs)
     freqs = freqs[order]
     psd = np.maximum(psd[order], 1e-30)
@@ -52,10 +64,12 @@ def occupied_bandwidth_hz(waveform, sample_rate_hz, fraction=0.99,
     """Bandwidth containing ``fraction`` of the total power."""
     if not 0 < fraction < 1:
         raise ConfigurationError("fraction must be in (0, 1)")
+    _check_nfft(nfft)
     waveform = np.asarray(waveform, dtype=np.complex128).ravel()
-    freqs, psd = welch(waveform, fs=sample_rate_hz,
-                       nperseg=min(nfft, waveform.size),
-                       return_onesided=False, detrend=False)
+    if not np.any(waveform):
+        raise ConfigurationError("an empty or all-zero waveform has no "
+                                 "bandwidth")
+    freqs, psd = _welch(waveform, sample_rate_hz, min(nfft, waveform.size))
     order = np.argsort(freqs)
     freqs = freqs[order]
     psd = psd[order]

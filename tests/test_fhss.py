@@ -87,6 +87,11 @@ class TestGfsk:
         with pytest.raises(ConfigurationError):
             GfskModem(levels=8)
 
+    @pytest.mark.parametrize("sps", [0, -1])
+    def test_nonpositive_samples_per_symbol_rejected(self, sps):
+        with pytest.raises(ConfigurationError):
+            GfskModem(samples_per_symbol=sps)
+
     def test_short_signal_rejected(self, rng):
         modem = GfskModem()
         sig = modem.modulate(random_bits(4, rng))

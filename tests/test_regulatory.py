@@ -49,6 +49,21 @@ class TestPsd:
         with pytest.raises(ConfigurationError):
             occupied_bandwidth_hz(ofdm_wave, 20e6, fraction=1.5)
 
+    def test_empty_waveform_rejected(self):
+        with pytest.raises(ConfigurationError):
+            occupied_bandwidth_hz(np.array([]), 20e6)
+
+    def test_all_zero_waveform_rejected(self):
+        with pytest.raises(ConfigurationError):
+            occupied_bandwidth_hz(np.zeros(512), 20e6)
+
+    @pytest.mark.parametrize("nfft", [0, -4])
+    @pytest.mark.parametrize("measure", [power_spectral_density,
+                                         occupied_bandwidth_hz])
+    def test_nonpositive_nfft_rejected(self, ofdm_wave, measure, nfft):
+        with pytest.raises(ConfigurationError):
+            measure(ofdm_wave, 20e6, nfft=nfft)
+
 
 class TestMask:
     def test_limit_interpolation(self):
