@@ -258,46 +258,42 @@ class LinkSimulator:
             f"unknown channel {channel!r}; use 'awgn', 'rayleigh' or 'tgn-A'..'tgn-F'"
         )
 
-    # -- channel application --------------------------------------------------
+    # -- channel and one packet ---------------------------------------------
 
-    def _apply_channel(self, tx):
-        """Propagate an (n_tx, N) waveform; returns (n_rx, N)."""
-        tx = np.atleast_2d(tx)
+    def _draw_channel(self, rng):
+        """Draw one channel realisation from ``rng``.
+
+        Returns the function that propagates an (n_tx, N) waveform
+        through it to (n_rx, N).
+        """
         if self.channel_name == "awgn":
             if self.n_rx == self.n_tx:
-                return tx.copy()
+                return lambda tx: tx
             # Receive diversity in AWGN: repeat the signal on each antenna.
-            return np.tile(tx.sum(axis=0), (self.n_rx, 1))
+            return lambda tx: np.tile(tx.sum(axis=0), (self.n_rx, 1))
         if self.channel_name == "rayleigh":
-            h = (self.rng.normal(size=(self.n_rx, self.n_tx))
-                 + 1j * self.rng.normal(size=(self.n_rx, self.n_tx))) / np.sqrt(2)
-            return h @ tx
-        model = self.channel_name[4:].upper()
-        tdl = tgn_channel(model, self.n_rx, self.n_tx,
-                          sample_rate_hz=self.sample_rate, rng=self.rng)
-        return tdl.apply(tx)
-
-    # -- one packet -------------------------------------------------------------
+            h = (rng.normal(size=(self.n_rx, self.n_tx))
+                 + 1j * rng.normal(size=(self.n_rx, self.n_tx))) / np.sqrt(2)
+            return lambda tx: h @ tx
+        tdl = tgn_channel(self.channel_name[4:].upper(), self.n_rx,
+                          self.n_tx, sample_rate_hz=self.sample_rate, rng=rng)
+        taps = tdl.draw()
+        return lambda tx: tdl.apply(tx, taps)
 
     def _send_packet(self, payload, snr_db):
         """Returns (bit_errors, packet_error) for one payload transmission."""
         sent_bits = bits_from_bytes(payload)
-        if self._kind == "chips":
-            tx = self._phy.modulate(sent_bits)
-        elif self._kind == "fhss":
-            tx = self._phy.modulate(sent_bits)
-        elif self._kind == "ofdm":
-            tx = self._phy.transmit(payload)
+        if self._kind in ("chips", "fhss"):
+            tx = np.atleast_2d(self._phy.modulate(sent_bits))
         else:
-            tx = self._phy.transmit(payload)
-        rx = self._apply_channel(tx)
+            tx = np.atleast_2d(self._phy.transmit(payload))
+        rx = self._draw_channel(self.rng)(tx)
         # SNR convention: *average* received SNR. Channels have unit mean
         # gain per antenna pair, so the expected receive power per antenna
         # equals the total transmit power; scaling noise to that average
         # (not to the instantaneous packet power) preserves per-packet
         # fades — the whole point of diversity experiments.
-        tx2d = np.atleast_2d(tx)
-        total_tx_power = float(np.mean(np.abs(tx2d) ** 2)) * tx2d.shape[0]
+        total_tx_power = float(np.mean(np.abs(tx) ** 2)) * tx.shape[0]
         noise_var = total_tx_power / 10.0 ** (snr_db / 10.0)
         rx = rx + awgn_noise(rx.shape, noise_var, self.rng)
 
@@ -310,84 +306,15 @@ class LinkSimulator:
                 bit_errs = count_bit_errors(sent_bits, got_bits)
             elif self._kind == "ofdm":
                 got = self._phy.receive(rx.ravel(), noise_var)
-                bit_errs = self._byte_errors(payload, got)
+                bit_errs = _byte_errors(payload, got)
             else:
                 got = self._phy.receive(rx, noise_var,
                                         psdu_bytes=len(payload))
-                bit_errs = self._byte_errors(payload, got)
+                bit_errs = _byte_errors(payload, got)
         except ReproError:
             # Undecodable frame: all payload bits counted in error.
             return sent_bits.size, True
         return bit_errs, bit_errs > 0
-
-    @staticmethod
-    def _byte_errors(sent, got):
-        if len(got) != len(sent):
-            return 8 * len(sent)
-        return count_bit_errors(bits_from_bytes(sent), bits_from_bytes(got))
-
-    # -- batched packets ----------------------------------------------------
-
-    def _send_packet_batch(self, rng, m, payload_bytes, snr_db):
-        """One vectorized PHY invocation covering ``m`` OFDM packets.
-
-        Per packet the generator is consumed in exactly the scalar trial's
-        order — payload bytes, then the channel realisation, then the
-        noise normals (``awgn_noise`` scales *after* drawing, so the
-        normals can be drawn before the TX power is known). Fixed-budget
-        runs therefore stay bit-identical to the per-packet loop.
-        """
-        n = self._phy.n_samples(payload_bytes)
-        snr_lin = 10.0 ** (snr_db / 10.0)
-        tgn = self.channel_name.startswith("tgn-")
-        payloads = []
-        channels = []
-        noise_raw = np.empty((m, self.n_rx, n), dtype=np.complex128)
-        for i in range(m):
-            payloads.append(bytes(rng.integers(0, 256, payload_bytes,
-                                               dtype=np.uint8).tolist()))
-            if self.channel_name == "rayleigh":
-                channels.append(
-                    (rng.normal(size=(self.n_rx, self.n_tx))
-                     + 1j * rng.normal(size=(self.n_rx, self.n_tx)))
-                    / np.sqrt(2)
-                )
-            elif tgn:
-                tdl = tgn_channel(self.channel_name[4:].upper(), self.n_rx,
-                                  self.n_tx, sample_rate_hz=self.sample_rate,
-                                  rng=rng)
-                channels.append((tdl, tdl.draw()))
-            noise_raw[i] = (rng.normal(size=(self.n_rx, n))
-                            + 1j * rng.normal(size=(self.n_rx, n)))
-
-        tx = self._phy.transmit_batch(payloads)  # (m, n)
-        noise_var = np.empty(m)
-        rx = np.empty((m, n), dtype=np.complex128)
-        for i in range(m):
-            if self.channel_name == "awgn":
-                rx[i] = tx[i]
-            elif tgn:
-                tdl, taps = channels[i]
-                rx[i] = tdl.apply(tx[i][None, :], taps)[0]
-            else:
-                rx[i] = (channels[i] @ tx[i][None, :])[0]
-            # Same power convention as the scalar path (n_tx = 1 here).
-            noise_var[i] = float(np.mean(np.abs(tx[i][None, :]) ** 2))
-            noise_var[i] = noise_var[i] / snr_lin
-        rx += np.sqrt(noise_var / 2.0)[:, None] * noise_raw[:, 0, :]
-
-        psdus = self._phy.receive_batch(rx, noise_var)
-        obs.counter("link.packets", m)
-        bit_sum = 0
-        pkt_sum = 0
-        for payload, got in zip(payloads, psdus):
-            if got is None:
-                errs = 8 * len(payload)
-            else:
-                errs = self._byte_errors(payload, got)
-            bit_sum += errs
-            pkt_sum += int(errs > 0)
-        return {"packet_error": pkt_sum, "bit_errors": bit_sum}
 
     # -- analytic fast path -------------------------------------------------
 
@@ -414,32 +341,33 @@ class LinkSimulator:
         return {"per": per, "ber": ber, "ebn0_db": ebn0_db,
                 "code_rate": code_rate, "method": "union-bound"}
 
-    def _analytic_short_circuit(self, snr_db, payload_bytes, floor,
-                                confidence):
-        """Analytic LinkResult when the bound clears the floor, else None."""
+    def _analytic_cell(self, snr_db, payload_bytes, floor):
+        """The point's bounds when they clear ``floor``, else None."""
         if floor is None:
             return None
-        floor = float(floor)
-        if not 0.0 < floor < 1.0:
-            raise ConfigurationError(
-                f"analytic_floor must lie in (0, 1), got {floor}")
         bounds = self.analytic_bounds(snr_db, payload_bytes)
         if bounds is None or bounds["per"] > floor:
             return None
-        mc = analytic_result(bounds["per"], target="packet_error",
-                             confidence=confidence)
-        obs.counter("link.analytic_points")
+        return bounds
+
+    def _result(self, snr_db, payload_bytes, mc, bounds=None, floor=None):
+        """The :class:`LinkResult` of one point from its engine record.
+
+        Analytic records (zero trials) carry their ``bounds`` and the
+        floor they cleared in ``extras["analytic"]``.
+        """
         return LinkResult(
             phy=self.phy_name,
             channel=self.channel_name,
             snr_db=float(snr_db),
-            n_packets=0,
-            n_packet_errors=0,
-            n_bits=0,
-            n_bit_errors=0,
-            payload_bytes=int(payload_bytes),
+            n_packets=mc.n_trials,
+            n_packet_errors=mc.n_events,
+            n_bits=8 * payload_bytes * mc.n_trials,
+            n_bit_errors=int(mc.totals.get("bit_errors", 0)),
+            payload_bytes=payload_bytes,
             rate_mbps=self.rate_mbps,
-            extras={"analytic": dict(bounds, floor=floor)},
+            extras=({} if bounds is None
+                    else {"analytic": dict(bounds, floor=floor)}),
             mc=mc,
         )
 
@@ -457,11 +385,13 @@ class LinkSimulator:
         ``<= precision`` or ``max_trials`` packets have been spent;
         ``result.mc`` records which.
 
-        ``vectorized`` selects the batched PHY path, which runs each MC
-        batch of packets as one vectorized transmit/receive invocation
-        (default: on for OFDM PHYs, which support it; the per-packet RNG
-        draw order is preserved, so results are bit-identical either
-        way). Pass ``False`` to force the per-packet loop.
+        ``vectorized`` selects the batched PHY path (default: on for
+        OFDM PHYs, which support it): the point runs as a one-column
+        grid of :func:`run_grid_trials`, each batch of packets one
+        transmit/receive invocation. Draws come from ``self.rng`` in
+        the per-packet order (:class:`SerialDraws`), so results are
+        bit-identical either way. Pass ``False`` to force the
+        per-packet loop.
 
         ``analytic_floor`` enables the analytic fast path: when the
         union-bound PER at this point is at or below the floor, no
@@ -472,50 +402,45 @@ class LinkSimulator:
         """
         snr_db, n_packets, payload_bytes = validate_link_run_args(
             snr_db, n_packets, payload_bytes)
-        shortcut = self._analytic_short_circuit(
-            snr_db, payload_bytes, analytic_floor, confidence)
-        if shortcut is not None:
-            return shortcut
-        if vectorized is None:
-            vectorized = self._kind == "ofdm"
-        vectorized = bool(vectorized) and self._kind == "ofdm"
+        floor = _analytic_floor(analytic_floor)
+        bounds = self._analytic_cell(snr_db, payload_bytes, floor)
+        if bounds is not None:
+            obs.counter("link.analytic_points")
+            mc = analytic_result(bounds["per"], target="packet_error",
+                                 confidence=confidence)
+            return self._result(snr_db, payload_bytes, mc, bounds, floor)
+        vectorized = self._kind == "ofdm" and (vectorized is None
+                                               or bool(vectorized))
 
         def trial(rng):
-            payload = bytes(rng.integers(0, 256, payload_bytes,
-                                         dtype=np.uint8).tolist())
+            payload = _random_payload(rng, payload_bytes)
             errs, bad = self._send_packet(payload, snr_db)
             obs.counter("link.packets")
             return {"packet_error": int(bad), "bit_errors": int(errs)}
-
-        def trial_batch(rng, m):
-            return self._send_packet_batch(rng, m, payload_bytes, snr_db)
 
         with obs.span("link.run", phy=self.phy_name,
                       channel=self.channel_name,
                       snr_db=float(snr_db)) as span, obs.timed() as clock, \
                 self._kernel_ctx():
-            mc = run_trials(trial_batch if vectorized else trial,
-                            n_trials=int(n_packets),
-                            target="packet_error", rng=self.rng,
-                            precision=precision, max_trials=max_trials,
-                            confidence=confidence, batch_size=batch_size,
-                            vectorized=vectorized)
+            if vectorized:
+                # Python's scalar power, as the per-packet loop computes
+                # it; numpy's array power can differ in the last bit.
+                grid_fn = _grid_fn([self], [10.0 ** (snr_db / 10.0)],
+                                   payload_bytes, SerialDraws(self))
+                mc, = run_grid_trials(
+                    grid_fn, n_packets, 1, target="packet_error",
+                    batch_size=batch_size, confidence=confidence,
+                    precision=precision, max_trials=max_trials)
+            else:
+                mc = run_trials(trial, n_trials=n_packets,
+                                target="packet_error", rng=self.rng,
+                                precision=precision, max_trials=max_trials,
+                                confidence=confidence, batch_size=batch_size)
             span.set(n_trials=mc.n_trials, stop_reason=mc.stop_reason,
                      vectorized=vectorized,
                      packets_per_s=(mc.n_trials / clock.elapsed
                                     if clock.elapsed > 0 else 0.0))
-        return LinkResult(
-            phy=self.phy_name,
-            channel=self.channel_name,
-            snr_db=float(snr_db),
-            n_packets=mc.n_trials,
-            n_packet_errors=mc.n_events,
-            n_bits=8 * payload_bytes * mc.n_trials,
-            n_bit_errors=int(mc.totals.get("bit_errors", 0)),
-            payload_bytes=payload_bytes,
-            rate_mbps=self.rate_mbps,
-            mc=mc,
-        )
+        return self._result(snr_db, payload_bytes, mc)
 
     def waterfall(self, snr_values_db, n_packets=100, payload_bytes=100,
                   **mc_kwargs):
@@ -589,7 +514,7 @@ class LinkSimulator:
         return 0.5 * (lo + hi)
 
 
-# -- cross-point grids -------------------------------------------------------
+# -- the OFDM grid engine ----------------------------------------------------
 
 #: Most rows x trellis steps one grid ``receive_batch`` call decodes. A
 #: rate's SNR columns are stacked into one call up to this budget, so the
@@ -597,6 +522,17 @@ class LinkSimulator:
 #: the grid's width; four 8-packet columns of a 500-byte frame (4,104
 #: steps at 54 Mbps) fit in one call.
 GRID_ROW_STEPS = 200_000
+
+
+def _random_payload(rng, payload_bytes):
+    return bytes(rng.integers(0, 256, payload_bytes, dtype=np.uint8).tolist())
+
+
+def _byte_errors(sent, got):
+    """Bit errors between two PSDUs; a wrong length fails every bit."""
+    if len(got) != len(sent):
+        return 8 * len(sent)
+    return count_bit_errors(bits_from_bytes(sent), bits_from_bytes(got))
 
 
 def grid_trial_draws(entropy, t, payload_bytes, n_max, channel):
@@ -613,13 +549,146 @@ def grid_trial_draws(entropy, t, payload_bytes, n_max, channel):
     """
     g = np.random.default_rng(
         np.random.SeedSequence(entropy, spawn_key=(int(t),)))
-    payload = bytes(g.integers(0, 256, payload_bytes,
-                               dtype=np.uint8).tolist())
+    payload = _random_payload(g, payload_bytes)
     h = 1.0 + 0.0j
     if channel == "rayleigh":
         h = complex((g.normal() + 1j * g.normal()) / np.sqrt(2))
     raw = g.normal(size=(int(n_max), 2))
     return payload, h, raw[:, 0] + 1j * raw[:, 1]
+
+
+class TrialSubstreams:
+    """Grid draws: common random numbers hung off the trial index.
+
+    Trial ``t`` takes its payload, flat channel and noise from
+    :func:`grid_trial_draws` at ``entropy``, whichever columns it
+    serves, so every column of a grid sees the same realisations.
+    """
+
+    def __init__(self, entropy, channel):
+        self.entropy = entropy
+        self.channel = channel
+
+    def draw(self, lo, hi, payload_bytes, n_samples):
+        """``(payloads, propagate, noise)`` for trials ``lo..hi-1``.
+
+        ``propagate`` maps an ``(m, n)`` transmit batch to the noiseless
+        receive batch; ``noise`` holds ``n_samples`` unscaled complex
+        normals per trial.
+        """
+        payloads = []
+        hs = np.empty(hi - lo, dtype=np.complex128)
+        noise = np.empty((hi - lo, n_samples), dtype=np.complex128)
+        for j, t in enumerate(range(lo, hi)):
+            payload, hs[j], noise[j] = grid_trial_draws(
+                self.entropy, t, payload_bytes, n_samples, self.channel)
+            payloads.append(payload)
+        if self.channel == "rayleigh":
+            return payloads, lambda tx: hs[:, None] * tx, noise
+        return payloads, lambda tx: tx, noise
+
+
+class SerialDraws:
+    """Per-point draws from one simulator's generator, packet by packet.
+
+    Each packet consumes ``sim.rng`` in the per-packet loop's order:
+    payload bytes, then the channel realisation, then the noise normals
+    (noise is scaled after drawing, so it can be drawn before the
+    transmit power is known). A batched run therefore leaves the
+    generator, and every count, as the per-packet loop does.
+    """
+
+    def __init__(self, sim):
+        self.sim = sim
+
+    def draw(self, lo, hi, payload_bytes, n_samples):
+        """``(payloads, propagate, noise)`` for the next ``hi - lo`` packets.
+
+        ``propagate`` applies each packet's own channel realisation to
+        its row of an ``(m, n)`` transmit batch.
+        """
+        rng = self.sim.rng
+        payloads, channels = [], []
+        noise = np.empty((hi - lo, n_samples), dtype=np.complex128)
+        for i in range(hi - lo):
+            payloads.append(_random_payload(rng, payload_bytes))
+            channels.append(self.sim._draw_channel(rng))
+            noise[i] = (rng.normal(size=n_samples)
+                        + 1j * rng.normal(size=n_samples))
+
+        def propagate(tx):
+            return np.stack([channel(row[None, :])[0]
+                             for channel, row in zip(channels, tx)])
+        return payloads, propagate, noise
+
+
+def _grid_fn(sims, snr_lin, payload_bytes, source):
+    """The :func:`run_grid_trials` trial function of an OFDM grid.
+
+    Column ``p * len(snr_lin) + s`` is PHY ``sims[p]`` at linear SNR
+    ``snr_lin[s]``. Each call draws its trials once from ``source`` (a
+    :class:`TrialSubstreams` or :class:`SerialDraws`), transmits them
+    once per PHY, and decodes a PHY's SNR columns stacked in one
+    receive call as far as :data:`GRID_ROW_STEPS` allows.
+    """
+    n_snr = len(snr_lin)
+    lengths = [sim._phy.n_samples(payload_bytes) for sim in sims]
+    n_max = max(lengths)
+
+    def grid_fn(lo, hi, points):
+        m = hi - lo
+        payloads, propagate, noise = source.draw(lo, hi, payload_bytes, n_max)
+        pkt = np.zeros(points.size, dtype=np.int64)
+        bits = np.zeros(points.size, dtype=np.int64)
+        by_phy = {}
+        for k, idx in enumerate(points):
+            p, s = divmod(int(idx), n_snr)
+            by_phy.setdefault(p, []).append((k, s))
+        for p, cols in sorted(by_phy.items()):
+            phy = sims[p]._phy
+            n = lengths[p]
+            tx = phy.transmit_batch(payloads)  # (m, n), shared by SNRs
+            power = np.mean(np.abs(tx) ** 2, axis=1)
+            rx_clean = propagate(tx)
+            # Every row decodes independently, so the rate's SNR columns
+            # share one receive call (one SIGNAL and one data trellis
+            # sweep) as far as the row budget allows.
+            steps = phy.n_symbols(payload_bytes) * phy.rate.n_dbps
+            per_call = max(1, GRID_ROW_STEPS // (m * steps))
+            for first in range(0, len(cols), per_call):
+                block = cols[first:first + per_call]
+                noise_var = np.empty(len(block) * m)
+                rx = np.empty((len(block) * m, n), dtype=np.complex128)
+                for j, (_, s) in enumerate(block):
+                    rows = slice(j * m, (j + 1) * m)
+                    noise_var[rows] = power / snr_lin[s]
+                    rx[rows] = (rx_clean + np.sqrt(noise_var[rows] / 2.0)
+                                [:, None] * noise[:, :n])
+                psdus = phy.receive_batch(rx, noise_var)
+                for j, (k, _) in enumerate(block):
+                    for payload, got in zip(payloads,
+                                            psdus[j * m:(j + 1) * m]):
+                        if got is None:
+                            errs = 8 * len(payload)
+                        else:
+                            errs = _byte_errors(payload, got)
+                        bits[k] += errs
+                        pkt[k] += int(errs > 0)
+            obs.counter("link.packets", m * len(cols))
+        return {"packet_error": pkt, "bit_errors": bits}
+
+    return grid_fn
+
+
+def _analytic_floor(floor):
+    """``floor`` as a float in (0, 1), or None when the fast path is off."""
+    if floor is None:
+        return None
+    floor = float(floor)
+    if not 0.0 < floor < 1.0:
+        raise ConfigurationError(
+            f"analytic_floor must lie in (0, 1), got {floor}")
+    return floor
 
 
 def run_link_grid(phys, snr_values_db, n_packets=100, payload_bytes=100, *,
@@ -681,92 +750,28 @@ def run_link_grid(phys, snr_values_db, n_packets=100, payload_bytes=100, *,
             raise ConfigurationError(
                 f"cross-point grids support OFDM PHYs only, got "
                 f"{sim.phy_name!r}; run it through waterfall()")
-    if analytic_floor is not None:
-        analytic_floor = float(analytic_floor)
-        if not 0.0 < analytic_floor < 1.0:
-            raise ConfigurationError(
-                f"analytic_floor must lie in (0, 1), got {analytic_floor}")
+    floor = _analytic_floor(analytic_floor)
 
     n_snr = len(snrs)
     n_points = len(sims) * n_snr
-    snr_lin = 10.0 ** (snrs / 10.0)
-    lengths = [sim._phy.n_samples(payload_bytes) for sim in sims]
-    n_max = max(lengths)
     # One draw regardless of grid shape or execution mode: the entropy
     # seeds per-trial substreams, so draws depend only on the trial index.
     entropy = int(as_generator(rng).integers(0, 2 ** 63))
+    grid_fn = _grid_fn(sims, 10.0 ** (snrs / 10.0), payload_bytes,
+                       TrialSubstreams(entropy, channel))
 
-    def batch_draws(lo, hi):
-        m = hi - lo
-        payloads = []
-        hs = np.empty(m, dtype=np.complex128)
-        noise = np.empty((m, n_max), dtype=np.complex128)
-        for j, t in enumerate(range(lo, hi)):
-            payload, h, nz = grid_trial_draws(entropy, t, payload_bytes,
-                                              n_max, channel)
-            payloads.append(payload)
-            hs[j] = h
-            noise[j] = nz
-        return payloads, hs, noise
-
-    def grid_fn(lo, hi, points):
-        m = hi - lo
-        payloads, hs, noise = batch_draws(lo, hi)
-        pkt = np.zeros(points.size, dtype=np.int64)
-        bits = np.zeros(points.size, dtype=np.int64)
-        by_phy = {}
-        for k, idx in enumerate(points):
-            p, s = divmod(int(idx), n_snr)
-            by_phy.setdefault(p, []).append((k, s))
-        for p, cols in sorted(by_phy.items()):
-            phy = sims[p]._phy
-            n = lengths[p]
-            tx = phy.transmit_batch(payloads)  # (m, n), shared by SNRs
-            power = np.mean(np.abs(tx) ** 2, axis=1)
-            rx_clean = hs[:, None] * tx if channel == "rayleigh" else tx
-            # Every row decodes independently, so the rate's SNR columns
-            # share one receive call (one SIGNAL and one data trellis
-            # sweep) as far as the row budget allows.
-            steps = phy.n_symbols(payload_bytes) * phy.rate.n_dbps
-            per_call = max(1, GRID_ROW_STEPS // (m * steps))
-            for first in range(0, len(cols), per_call):
-                block = cols[first:first + per_call]
-                noise_var = np.empty(len(block) * m)
-                rx = np.empty((len(block) * m, n), dtype=np.complex128)
-                for j, (_, s) in enumerate(block):
-                    rows = slice(j * m, (j + 1) * m)
-                    noise_var[rows] = power / snr_lin[s]
-                    rx[rows] = (rx_clean + np.sqrt(noise_var[rows] / 2.0)
-                                [:, None] * noise[:, :n])
-                psdus = phy.receive_batch(rx, noise_var)
-                for j, (k, _) in enumerate(block):
-                    for payload, got in zip(payloads,
-                                            psdus[j * m:(j + 1) * m]):
-                        if got is None:
-                            errs = 8 * len(payload)
-                        else:
-                            errs = LinkSimulator._byte_errors(payload, got)
-                        bits[k] += errs
-                        pkt[k] += int(errs > 0)
-            obs.counter("link.packets", m * len(cols))
-        return {"packet_error": pkt, "bit_errors": bits}
-
-    analytic = {}
-    bounds_by_point = {}
-    if analytic_floor is not None:
-        for p, sim in enumerate(sims):
-            for s, snr in enumerate(snrs):
-                bounds = sim.analytic_bounds(snr, payload_bytes)
-                if bounds is not None and bounds["per"] <= analytic_floor:
-                    idx = p * n_snr + s
-                    analytic[idx] = bounds["per"]
-                    bounds_by_point[idx] = bounds
+    bounds = {}
+    for p, sim in enumerate(sims):
+        for s, snr in enumerate(snrs):
+            cell = sim._analytic_cell(snr, payload_bytes, floor)
+            if cell is not None:
+                bounds[p * n_snr + s] = cell
+    analytic = {idx: cell["per"] for idx, cell in bounds.items()}
 
     with obs.span("link.grid", n_phys=len(sims), n_snrs=n_snr,
                   cross_point=bool(cross_point),
                   n_analytic=len(analytic)) as span, obs.timed() as clock, \
-            (phy_kernels.use_backend(kernels) if kernels is not None
-             else contextlib.nullcontext()):
+            sims[0]._kernel_ctx():
         if cross_point:
             mcs = run_grid_trials(
                 grid_fn, n_packets, n_points, target="packet_error",
@@ -778,9 +783,7 @@ def run_link_grid(phys, snr_values_db, n_packets=100, payload_bytes=100, *,
             mcs = []
             for idx in range(n_points):
                 def one_point(lo, hi, points, _idx=idx):
-                    out = grid_fn(lo, hi,
-                                  np.array([_idx], dtype=np.int64))
-                    return out
+                    return grid_fn(lo, hi, np.array([_idx], dtype=np.int64))
                 mcs.extend(run_grid_trials(
                     one_point, n_packets, 1, target="packet_error",
                     batch_size=batch_size,
@@ -794,28 +797,7 @@ def run_link_grid(phys, snr_values_db, n_packets=100, payload_bytes=100, *,
         if analytic:
             obs.counter("link.analytic_points", len(analytic))
 
-    results = []
-    for p, sim in enumerate(sims):
-        row = []
-        for s, snr in enumerate(snrs):
-            idx = p * n_snr + s
-            mc = mcs[idx]
-            if mc.stop_reason == "analytic":
-                row.append(LinkResult(
-                    phy=sim.phy_name, channel=channel, snr_db=float(snr),
-                    n_packets=0, n_packet_errors=0, n_bits=0,
-                    n_bit_errors=0, payload_bytes=payload_bytes,
-                    rate_mbps=sim.rate_mbps,
-                    extras={"analytic": dict(bounds_by_point[idx],
-                                             floor=analytic_floor)},
-                    mc=mc))
-            else:
-                row.append(LinkResult(
-                    phy=sim.phy_name, channel=channel, snr_db=float(snr),
-                    n_packets=mc.n_trials, n_packet_errors=mc.n_events,
-                    n_bits=8 * payload_bytes * mc.n_trials,
-                    n_bit_errors=int(mc.totals.get("bit_errors", 0)),
-                    payload_bytes=payload_bytes, rate_mbps=sim.rate_mbps,
-                    mc=mc))
-        results.append(row)
-    return results
+    return [[sim._result(snr, payload_bytes, mcs[p * n_snr + s],
+                         bounds.get(p * n_snr + s), floor)
+             for s, snr in enumerate(snrs)]
+            for p, sim in enumerate(sims)]

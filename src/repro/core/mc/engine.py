@@ -16,6 +16,9 @@ instead of burning the full budget; a zero-event point can never claim
 precision and runs to the ceiling, which is exactly the honesty the
 interval is for.
 
+:func:`run_grid_trials` runs many Bernoulli points per call in the same
+two modes, on the same batch schedule; each point stops on its own.
+
 Trial functions
 ---------------
 Scalar form (default): ``trial_fn(rng) -> dict`` mapping metric names
@@ -186,6 +189,37 @@ def _validate(n_trials, precision, max_trials, batch_size):
     return None, precision, max_trials
 
 
+def _run_batch(n, fn, *args):
+    """``fn(*args)`` as one traced batch of ``n`` trials.
+
+    Histograms the batch latency when a metrics registry is active.
+    """
+    registry = obs_metrics.current_registry()
+    with obs.span("mc.batch", n=n):
+        if registry is None:
+            return fn(*args)
+        t0 = time.perf_counter()
+        out = fn(*args)
+        registry.observe("mc.batch_s", time.perf_counter() - t0)
+        return out
+
+
+def _record_run(span, clock, n_run, stop_reasons):
+    """Count a finished run's trials and stop reasons, once each, in the
+    tracer and the metrics registry, and set its span's throughput."""
+    obs.counter("mc.trials", n_run)
+    obs_metrics.count("mc.trials", n_run)
+    for reason in STOP_REASONS:
+        n_stopped = sum(1 for r in stop_reasons if r == reason)
+        if n_stopped:
+            obs.counter(f"mc.stop.{reason}", n_stopped)
+            obs_metrics.count(f"mc.stop.{reason}", n_stopped)
+    rate = n_run / clock.elapsed if clock.elapsed > 0 else 0.0
+    if clock.elapsed > 0:
+        obs_metrics.gauge("mc.trials_per_s", rate)
+    span.set(n_trials=n_run, trials_per_s=rate)
+
+
 def run_trials(trial_fn, n_trials=None, *, target, rng=None,
                precision=None, max_trials=None, batch_size=100,
                confidence=0.95, method="wilson", estimand="rate",
@@ -274,55 +308,28 @@ def run_trials(trial_fn, n_trials=None, *, target, rng=None,
                 )
             acc.add(values)
 
-    def run_batch(m):
-        """One traced batch; histograms its latency when metrics are on."""
-        registry = obs_metrics.current_registry()
-        with obs.span("mc.batch", n=m):
-            if registry is None:
-                consume(m)
-            else:
-                t0 = time.perf_counter()
-                consume(m)
-                registry.observe("mc.batch_s",
-                                 time.perf_counter() - t0)
-
+    limit = budget if precision is None else ceiling
+    # Fixed budget: vectorised trial functions are fed in batch_size
+    # chunks so a large budget never materialises the whole waveform
+    # batch at once; generator draws are consumed value-by-value, so
+    # chunking leaves the stream (and thus every result) identical to
+    # one full-budget call — and to the seed-era hand-rolled loops.
+    step = int(batch_size) if vectorized or precision is not None else limit
     with obs.span("mc.run_trials", target=target, estimand=estimand,
                   mode="fixed" if precision is None
                   else "adaptive") as mc_span, obs.timed() as clock:
-        if precision is None:
-            # Fixed budget. Vectorised trial functions are fed in
-            # batch_size chunks so a large budget never materialises the
-            # whole waveform batch at once; generator draws are consumed
-            # value-by-value, so chunking leaves the stream (and thus
-            # every result) identical to one full-budget call — and to
-            # the seed-era hand-rolled sequential loops.
-            if vectorized:
-                remaining = budget
-                while remaining > 0:
-                    m = min(int(batch_size), remaining)
-                    run_batch(m)
-                    remaining -= m
-            else:
-                run_batch(budget)
-            stop_reason = "budget"
-        else:
-            stop_reason = "max_trials"
-            while acc.n_trials < ceiling:
-                m = min(int(batch_size), ceiling - acc.n_trials)
-                run_batch(m)
-                if acc.rel_half_width(confidence) <= precision:
-                    stop_reason = "precision"
-                    break
-        obs.counter("mc.trials", acc.n_trials)
-        obs.counter(f"mc.stop.{stop_reason}")
-        obs_metrics.count("mc.trials", acc.n_trials)
-        obs_metrics.count(f"mc.stop.{stop_reason}")
-        if clock.elapsed > 0:
-            obs_metrics.gauge("mc.trials_per_s",
-                              acc.n_trials / clock.elapsed)
-        mc_span.set(n_trials=acc.n_trials, stop_reason=stop_reason,
-                    trials_per_s=(acc.n_trials / clock.elapsed
-                                  if clock.elapsed > 0 else 0.0))
+        stop_reason = "budget" if precision is None else "max_trials"
+        done = 0
+        while done < limit:
+            m = min(step, limit - done)
+            _run_batch(m, consume, m)
+            done += m
+            if precision is not None \
+                    and acc.rel_half_width(confidence) <= precision:
+                stop_reason = "precision"
+                break
+        mc_span.set(stop_reason=stop_reason)
+        _record_run(mc_span, clock, acc.n_trials, [stop_reason])
 
     lo, hi = acc.interval(confidence)
     return McResult(
@@ -344,8 +351,8 @@ def run_trials(trial_fn, n_trials=None, *, target, rng=None,
 
 def run_grid_trials(grid_fn, n_trials, n_points, *, target,
                     batch_size=100, analytic=None, confidence=0.95,
-                    method="wilson"):
-    """Fixed-budget Bernoulli trials for *many* grid points at once.
+                    method="wilson", precision=None, max_trials=None):
+    """Bernoulli trials for *many* grid points at once.
 
     Cross-point batching: one ``grid_fn`` invocation covers a slice of
     the trial budget for **every** still-active point, so a sweep's
@@ -358,13 +365,14 @@ def run_grid_trials(grid_fn, n_trials, n_points, *, target,
         ``grid_fn(lo, hi, points) -> dict`` running trials ``lo..hi-1``
         for each point index in ``points`` (a 1-D int array). Values
         are per-point *batch sums*, shape ``(len(points),)`` — the
-        ``target`` entry counts Bernoulli events. The trial index, not
-        a generator, carries the randomness: trial ``i`` must use the
-        same underlying draws for every point (common random numbers),
-        which is what makes cross-point and per-point execution of the
-        same scheme bit-identical.
-    n_trials : int
-        Fixed per-point trial budget.
+        ``target`` entry counts Bernoulli events. When the trial index,
+        not a generator, carries the randomness — trial ``i`` uses the
+        same underlying draws for every point (common random numbers) —
+        cross-point and per-point execution of the same scheme are
+        bit-identical.
+    n_trials : int or None
+        Fixed per-point trial budget. Required when ``precision`` is
+        ``None``; ignored in adaptive mode.
     n_points : int
         Grid size; results come back as a list of this length.
     batch_size : int
@@ -376,6 +384,13 @@ def run_grid_trials(grid_fn, n_trials, n_points, *, target,
         :func:`analytic_result` records (``stop_reason="analytic"``).
     confidence, method
         Per-point Wilson (or Clopper-Pearson) interval parameters.
+    precision, max_trials
+        Adaptive mode, per point: after each batch a point whose
+        interval has relative half-width ``<= precision`` leaves the
+        grid (``stop_reason="precision"``); the rest run to
+        ``max_trials`` (``"max_trials"``). The batch schedule and stop
+        rule are :func:`run_trials`', so a one-point grid stops exactly
+        where ``run_trials`` would.
 
     Returns
     -------
@@ -384,64 +399,57 @@ def run_grid_trials(grid_fn, n_trials, n_points, *, target,
     n_points = int(n_points)
     if n_points < 1:
         raise ConfigurationError(f"n_points must be >= 1, got {n_points}")
-    budget = int(n_trials)
-    if budget < 1:
-        raise ConfigurationError(f"n_trials must be >= 1, got {budget}")
-    if int(batch_size) < 1:
-        raise ConfigurationError(
-            f"batch_size must be >= 1, got {batch_size}")
+    budget, precision, ceiling = _validate(n_trials, precision, max_trials,
+                                           batch_size)
+    limit = budget if precision is None else ceiling
     analytic = {int(i): float(v) for i, v in (analytic or {}).items()}
     for i in analytic:
         if not 0 <= i < n_points:
             raise ConfigurationError(
                 f"analytic point index {i} outside grid of {n_points}")
-    active = np.array([i for i in range(n_points) if i not in analytic],
-                      dtype=np.int64)
-    accs = {int(i): RateAccumulator(method=method) for i in active}
-    totals = {int(i): {} for i in active}
+    active = [i for i in range(n_points) if i not in analytic]
+    accs = {i: RateAccumulator(method=method) for i in active}
+    totals = {i: {} for i in active}
+    stops = {}
 
     with obs.span("mc.run_grid", target=target, n_points=n_points,
-                  n_analytic=len(analytic)) as span, obs.timed() as clock:
+                  n_analytic=len(analytic),
+                  mode="fixed" if precision is None
+                  else "adaptive") as span, obs.timed() as clock:
         done = 0
-        while active.size and done < budget:
-            m = min(int(batch_size), budget - done)
-            registry = obs_metrics.current_registry()
-            with obs.span("mc.batch", n=m * active.size):
-                t0 = time.perf_counter()
-                out = dict(grid_fn(done, done + m, active))
-                if registry is not None:
-                    registry.observe("mc.batch_s",
-                                     time.perf_counter() - t0)
+        while active and done < limit:
+            m = min(int(batch_size), limit - done)
+            out = dict(_run_batch(m * len(active), grid_fn, done, done + m,
+                                  np.array(active, dtype=np.int64)))
             if target not in out:
                 raise ConfigurationError(
                     f"grid function never produced target metric "
                     f"{target!r}; got keys {sorted(out)}")
             for key, vals in out.items():
                 vals = np.asarray(vals)
-                if vals.shape[:1] != (active.size,):
+                if vals.shape[:1] != (len(active),):
                     raise ConfigurationError(
                         f"grid metric {key!r} must carry one value per "
                         f"active point (expected leading dimension "
-                        f"{active.size}, got shape {vals.shape})")
+                        f"{len(active)}, got shape {vals.shape})")
+                if vals.ndim == 1:
+                    vals = vals.tolist()  # Python numbers in the totals
                 for j, i in enumerate(active):
-                    i = int(i)
                     if key == target:
                         accs[i].add(vals[j], m)
                         totals[i][target] = accs[i].n_events
                     else:
                         totals[i][key] = totals[i].get(key, 0) + vals[j]
             done += m
-        n_run = done * active.size
-        obs.counter("mc.trials", n_run)
-        obs_metrics.count("mc.trials", n_run)
-        if active.size:
-            obs.counter("mc.stop.budget", active.size)
-            obs_metrics.count("mc.stop.budget", active.size)
-        if clock.elapsed > 0:
-            obs_metrics.gauge("mc.trials_per_s", n_run / clock.elapsed)
-        span.set(n_trials=n_run,
-                 trials_per_s=(n_run / clock.elapsed
-                               if clock.elapsed > 0 else 0.0))
+            if precision is not None:
+                for i in active:
+                    if accs[i].rel_half_width(confidence) <= precision:
+                        stops[i] = "precision"
+                active = [i for i in active if i not in stops]
+        for i in active:
+            stops[i] = "budget" if precision is None else "max_trials"
+        _record_run(span, clock, sum(a.n_trials for a in accs.values()),
+                    stops.values())
 
     results = []
     for i in range(n_points):
@@ -457,12 +465,12 @@ def run_grid_trials(grid_fn, n_trials, n_points, *, target,
             ci_high=hi,
             n_trials=acc.n_trials,
             confidence=float(confidence),
-            stop_reason="budget",
+            stop_reason=stops[i],
             method=method,
             target=target,
             estimand="rate",
             n_events=acc.n_events,
-            precision=None,
+            precision=precision,
             totals=totals[i],
         ))
     return results

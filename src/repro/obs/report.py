@@ -3,7 +3,7 @@
 The reporter is schema-driven, not layer-driven: it only understands
 the generic event shapes (span / counter) plus the well-known span
 names the campaign runner and MC engine emit (``campaign.point``,
-``campaign.execute``, ``mc.run_trials``). Everything else still shows
+``campaign.execute``, ``mc.run_trials``, ``mc.run_grid``). Everything else still shows
 up in the span totals and top-N tables, so instrumenting a new
 subsystem needs no reporter changes.
 """
@@ -48,7 +48,7 @@ def _span_index(events):
 def _point_of(event, index):
     """Grid index owning this span, walking up to a campaign span.
 
-    Worker-side spans (``mc.run_trials`` batches, link spans) carry no
+    Worker-side spans (MC engine runs, link spans) carry no
     point index themselves; their enclosing ``campaign.execute`` span
     does. Returns ``None`` for spans outside any point.
     """
@@ -70,7 +70,8 @@ def _mc_by_point(events):
     index = _span_index(events)
     per_point = {}
     for event in events:
-        if event.get("type") != "span" or event.get("name") != "mc.run_trials":
+        if event.get("type") != "span" or event.get("name") not in (
+                "mc.run_trials", "mc.run_grid"):
             continue
         point = _point_of(event, index)
         if point is None:

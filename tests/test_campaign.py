@@ -932,6 +932,31 @@ class TestTrace:
         hits = rerun.extras["trace"]["counters"]["campaign.cache.hit"]
         assert hits == spec.n_points
 
+    def test_report_counts_trials_of_every_engine(self, tmp_path):
+        # An OFDM link point runs as a one-column grid and a link-grid
+        # point as a whole row; both engines' trials reach mc_trials.
+        from repro.obs import read_trace, trace_report_lines
+        specs = [
+            CampaignSpec(name="ofdm-link", kind="link", base_seed=4,
+                         factors={"snr_db": [6.0]},
+                         fixed={"phy": "ofdm-6", "channel": "awgn",
+                                "n_packets": 5, "payload_bytes": 20}),
+            CampaignSpec(name="ofdm-grid", kind="link-grid", base_seed=4,
+                         factors={"phy": ["ofdm-12"]},
+                         fixed={"snrs": [4.0, 9.0], "n_packets": 4,
+                                "payload_bytes": 20}),
+        ]
+        store = ResultsStore(tmp_path)
+        for spec in specs:
+            result = run_campaign(spec, store=store, trace=True)
+            (record,) = result.records
+            lines = trace_report_lines(
+                read_trace(store.trace_path(spec.name)))
+            head = lines.index("per-point timing:")
+            (row,) = [line.split() for line in lines[head + 2:]
+                      if line.split()[:1] == ["0"]]
+            assert int(row[5]) == record["metrics"]["n_trials"] > 0
+
     def test_untraced_run_leaves_no_trace(self, tmp_path):
         store = ResultsStore(tmp_path)
         result = run_campaign(quick_spec(), store=store)

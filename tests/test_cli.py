@@ -135,11 +135,20 @@ class TestTraceCli:
         assert "no trace recorded" in capsys.readouterr().out
 
     def test_link_trace_prints_summary(self, capsys):
+        # An OFDM point runs as a one-column grid of the grid engine.
         assert main(["link", "ofdm-6", "awgn", "20", "--packets", "3",
                      "--bytes", "40", "--trace"]) == 0
         out = capsys.readouterr().out
         assert "trace summary:" in out
-        assert "mc.run_trials" in out
+        assert "mc.run_grid" in out and "mc.run_trials" not in out
+
+    def test_link_trace_names_per_packet_engine(self, capsys):
+        # Non-OFDM PHYs still run packet by packet through run_trials.
+        assert main(["link", "dsss-1", "awgn", "6", "--packets", "3",
+                     "--bytes", "20", "--trace"]) == 0
+        out = capsys.readouterr().out
+        assert "trace summary:" in out
+        assert "mc.run_trials" in out and "mc.run_grid" not in out
 
 
 class TestWatchCli:

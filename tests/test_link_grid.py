@@ -15,7 +15,7 @@ from repro.campaign.runner import run_campaign
 from repro.campaign.spec import CampaignSpec
 from repro.core import link
 from repro.core.link import LinkSimulator, run_link_grid
-from repro.core.mc import analytic_result, run_grid_trials
+from repro.core.mc import analytic_result, run_grid_trials, run_trials
 from repro.errors import ConfigurationError
 from repro.phy import convolutional as cc
 from repro.phy.ofdm import OfdmPhy
@@ -106,6 +106,85 @@ class TestRunGridTrials:
             analytic_result(1.5, target="packet_error")
         with pytest.raises(ConfigurationError):
             analytic_result(-0.1, target="packet_error")
+
+
+class TestRunGridTrialsAdaptive:
+    """Per-column precision stops on ``run_trials``' batch schedule."""
+
+    @staticmethod
+    def _bernoulli(p, seed, n=400):
+        return np.random.default_rng(seed).random(n) < p
+
+    @staticmethod
+    def _grid_fn(columns, calls=None):
+        def fn(lo, hi, points):
+            if calls is not None:
+                calls.append((lo, hi, [int(i) for i in points]))
+            return {"err": np.array([columns[int(i)][lo:hi].sum()
+                                     for i in points])}
+        return fn
+
+    @staticmethod
+    def _summary(r):
+        return (r.n_trials, r.n_events, r.stop_reason, r.ci(), r.precision)
+
+    @pytest.mark.parametrize("n_trials, precision, max_trials, batch, stop", [
+        (None, 0.3, 400, 16, "precision"),
+        (None, 0.01, 70, 30, "max_trials"),    # 30 + 30 + 10
+        (None, 0.6, 45, 7, "precision"),
+        (23, None, None, 10, "budget"),
+    ])
+    def test_one_column_matches_run_trials(self, n_trials, precision,
+                                           max_trials, batch, stop):
+        events = self._bernoulli(0.3, seed=5)
+        done = [0]
+
+        def trial(rng, m):
+            k = events[done[0]:done[0] + m].sum()
+            done[0] += m
+            return {"err": k}
+
+        ref = run_trials(trial, n_trials, target="err", precision=precision,
+                         max_trials=max_trials, batch_size=batch,
+                         vectorized=True)
+        (grid,) = run_grid_trials(self._grid_fn([events]), n_trials, 1,
+                                  target="err", batch_size=batch,
+                                  precision=precision, max_trials=max_trials)
+        assert self._summary(grid) == self._summary(ref)
+        assert grid.stop_reason == stop
+
+    def test_columns_stop_independently(self):
+        columns = [self._bernoulli(0.9, seed=1), self._bernoulli(0.2, seed=2),
+                   np.zeros(400, dtype=bool), None]
+        calls = []
+        rs = run_grid_trials(self._grid_fn(columns, calls), None, 4,
+                             target="err", batch_size=20, precision=0.25,
+                             max_trials=400, analytic={3: 1e-9})
+        assert [r.stop_reason for r in rs] == \
+            ["precision", "precision", "max_trials", "analytic"]
+        assert rs[0].n_trials < rs[1].n_trials < rs[2].n_trials == 400
+        assert all(r.precision == 0.25 for r in rs[:3])
+        for i, r in enumerate(rs[:3]):
+            # A column is in exactly the batches before its stop ...
+            assert sum(hi - lo for lo, hi, pts in calls if i in pts) == \
+                r.n_trials
+            # ... and stops where it would on its own.
+            (alone,) = run_grid_trials(self._grid_fn([columns[i]]), None, 1,
+                                       target="err", batch_size=20,
+                                       precision=0.25, max_trials=400)
+            assert self._summary(alone) == self._summary(r)
+        assert all(3 not in pts for _, _, pts in calls)
+
+    def test_adaptive_validation(self):
+        fn = self._grid_fn([self._bernoulli(0.5, seed=3)])
+        for kwargs, match in [
+                (dict(precision=0.0), "precision"),
+                (dict(precision=-0.1), "precision"),
+                (dict(precision=float("nan")), "precision"),
+                (dict(precision=0.1, max_trials=0), "max_trials"),
+                (dict(precision=None), "n_trials")]:
+            with pytest.raises(ConfigurationError, match=match):
+                run_grid_trials(fn, None, 1, target="err", **kwargs)
 
 
 class TestCrossPointIdentity:

@@ -284,6 +284,81 @@ class TestGoldenLink:
         r = LinkSimulator("ofdm-12", "rayleigh", rng=77).run(14.0, 30, 40)
         assert (r.n_packet_errors, r.n_bit_errors) == (6, 693)
 
+    # Adaptive and partial-batch OFDM runs: (phy, channel, seed, snr,
+    # run kwargs) -> (packets, packet errors, bit errors), stop reason,
+    # Wilson CI and the PCG64 (state, uinteger) the run leaves behind.
+    ADAPTIVE = {
+        "awgn-precision": (
+            ("ofdm-54", "awgn", 1, 5.0,
+             dict(n_packets=2000, payload_bytes=40, precision=0.1,
+                  max_trials=2000, batch_size=30)),
+            (30, 30, 4791), "precision",
+            (0.8864866068260312, 1.0),
+            (66414853672726482429754365871209706627,
+             194290289479364712180083596243593368443, 2231026496)),
+        "rayleigh-max-trials-partial-batch": (
+            ("ofdm-12", "rayleigh", 77, 20.0,
+             dict(n_packets=10, payload_bytes=40, precision=0.05,
+                  max_trials=70, batch_size=30)),
+            (70, 1, 8), "max_trials",
+            (0.002526246457890312, 0.07658187131208327),
+            (54495354812160467399888985368295645682,
+             336983293413220778415499640756163231851, 4266528287)),
+        "tgn-c-precision": (
+            ("ofdm-6", "tgn-C", 5, 6.0,
+             dict(n_packets=10, payload_bytes=30, precision=0.3,
+                  max_trials=200, batch_size=16)),
+            (128, 33, 2475), "precision",
+            (0.18986902089941152, 0.3398691922955691),
+            (315315744009448200893048164001778653767,
+             233193750087604940414945475171846202189, 523962047)),
+        "fixed-budget-partial-batch": (
+            ("ofdm-24", "rayleigh", 9, 16.0,
+             dict(n_packets=23, payload_bytes=30, batch_size=10)),
+            (23, 5, 454), "budget",
+            (0.09663978026586204, 0.4190348301626401),
+            (179914797641409289060851005111937534172,
+             47650611409575876553999889140290214363, 133410238)),
+    }
+
+    @staticmethod
+    def _check(sim, r, counts, stop, ci, state):
+        assert (r.n_packets, r.n_packet_errors, r.n_bit_errors) == counts
+        assert r.mc.stop_reason == stop
+        assert (r.mc.ci_low, r.mc.ci_high) == ci
+        assert r.mc.n_trials == counts[0] and r.mc.n_events == counts[1]
+        assert r.mc.totals == {"packet_error": counts[1],
+                               "bit_errors": counts[2]}
+        assert all(type(v) is int for v in r.mc.totals.values())
+        assert sim.rng.bit_generator.state == {
+            "bit_generator": "PCG64",
+            "state": {"state": state[0], "inc": state[1]},
+            "has_uint32": 0, "uinteger": state[2]}
+
+    @pytest.mark.parametrize("case", sorted(ADAPTIVE))
+    def test_ofdm_adaptive(self, case):
+        from repro.core.link import LinkSimulator
+        (phy, channel, seed, snr, kwargs), *expected = self.ADAPTIVE[case]
+        sim = LinkSimulator(phy, channel, rng=seed)
+        r = sim.run(snr, **kwargs)
+        assert r.mc.precision == kwargs.get("precision")
+        self._check(sim, r, *expected)
+
+    def test_ofdm_two_runs_one_simulator(self):
+        from repro.core.link import LinkSimulator
+        sim = LinkSimulator("ofdm-18", "rayleigh", rng=31)
+        kwargs = dict(n_packets=5, payload_bytes=30, precision=0.2,
+                      max_trials=45, batch_size=20)
+        inc = 107090353359002252723118071224206516545
+        self._check(sim, sim.run(12.0, **kwargs), (45, 8, 653), "max_trials",
+                    (0.09294389514104148, 0.3132982462645977),
+                    (77355757324086614254909224411049634451, inc,
+                     3825051445))
+        self._check(sim, sim.run(14.0, **kwargs), (45, 5, 425), "max_trials",
+                    (0.04840471794567186, 0.2349909699576858),
+                    (307499715852669291376018963769495043122, inc,
+                     2914440138))
+
 
 class TestGoldenRelay:
     def test_decode_and_forward(self):
