@@ -62,6 +62,15 @@ def coverage_result(mesh_positions, area_side_m, min_rate_mbps=6.0,
     positions = np.asarray(mesh_positions, dtype=float)
     if positions.ndim != 2:
         raise ConfigurationError("mesh positions must be (N, 2)")
+    if not (np.isfinite(area_side_m) and area_side_m > 0):
+        raise ConfigurationError(
+            f"area_side_m must be finite and > 0, got {area_side_m!r}"
+        )
+    if isinstance(portal, bool) or not isinstance(portal,
+                                                  (int, np.integer)):
+        raise ConfigurationError(
+            f"portal must be an integer node index, got {portal!r}"
+        )
     if link is not None and not 0.0 < float(max_per) <= 1.0:
         raise ConfigurationError(
             f"max_per must be in (0, 1], got {max_per!r}"
@@ -70,7 +79,7 @@ def coverage_result(mesh_positions, area_side_m, min_rate_mbps=6.0,
     std = get_standard(standard) if isinstance(standard, str) else standard
     rng = as_generator(rng)
     net = MeshNetwork(positions, std, budget)
-    if not 0 <= int(portal) < net.n_nodes:
+    if not 0 <= portal < net.n_nodes:
         raise ConfigurationError(
             f"portal must index a mesh node (0..{net.n_nodes - 1}), "
             f"got {portal!r}"

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import contextlib
+
 import networkx as nx
 import numpy as np
 
+from repro import obs
 from repro.analysis.linkbudget import LinkBudget
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, LinkBudgetError
 from repro.mesh.metrics import airtime_metric_s, hop_count_metric
-from repro.mesh.topology import pairwise_distances
 from repro.standards.registry import get_standard
 
 
@@ -37,6 +39,8 @@ class MeshNetwork:
         self.positions = np.asarray(positions, dtype=float)
         if self.positions.ndim != 2 or self.positions.shape[1] != 2:
             raise ConfigurationError("positions must be (N, 2)")
+        if not np.isfinite(self.positions).all():
+            raise ConfigurationError("positions must be finite")
         self.standard = get_standard(standard) if isinstance(standard, str) \
             else standard
         self.budget = budget or LinkBudget()
@@ -44,54 +48,82 @@ class MeshNetwork:
         self._build_graph()
 
     def _build_graph(self):
-        """All-pairs link evaluation, vectorised.
+        """Link graph from a neighbour search, priced as all pairs were.
 
-        The seed-era double loop called ``snr_at`` and ``rate_at_snr``
-        once per pair — O(N^2) Python-level work that made 1000-node
-        meshes (the surrogate's whole point) take minutes. Here the
-        upper triangle is evaluated as one array pass: path loss over
-        the distance matrix, then ``rate_at_snr`` replicated as a
-        searchsorted against the standard's sorted SNR thresholds with
-        a running max of the rates they unlock (identical tie-breaking:
-        the highest rate whose requirement is met). Edges and their
-        attributes are exactly those of the scalar loop.
+        A pair is a link when the SNR at its distance (clamped to 0.1 m)
+        meets the standard's lowest rung. Only the candidate pairs of
+        :meth:`_candidate_pairs` are priced: distance with the per-pair
+        arithmetic of ``pairwise_distances``, ``snr_at``, then
+        ``rate_at_snr`` replicated as a searchsorted against the sorted
+        SNR thresholds with a running max of the rates they unlock (the
+        highest rate whose requirement is met). Edges are added in
+        row-major ``(i, j)`` order, so the graph, its attributes and its
+        insertion order (hence shortest-path tie-breaking) are exactly
+        those of the all-pairs pass, at O(N) cost for a sparse mesh.
         """
-        distances = pairwise_distances(self.positions)
         self.graph = nx.Graph()
         self.graph.add_nodes_from(range(self.n_nodes))
-        if self.n_nodes < 2:
-            return
-        iu, ju = np.triu_indices(self.n_nodes, k=1)
-        pair_d = distances[iu, ju]
-        snr = np.asarray(self.budget.snr_at(np.maximum(pair_d, 0.1)),
-                         dtype=float)
+        with obs.span("mesh.graph", n_nodes=self.n_nodes) as span:
+            if self.n_nodes < 2 or not self.standard.rates:
+                span.set(n_candidates=0, n_edges=0)
+                return
+            entries = sorted(self.standard.rates,
+                             key=lambda r: r.required_snr_db)
+            thresholds = np.array([r.required_snr_db for r in entries])
+            best_rate = np.maximum.accumulate(
+                np.array([r.rate_mbps for r in entries], dtype=float))
 
-        entries = sorted(self.standard.rates,
-                         key=lambda r: r.required_snr_db)
-        thresholds = np.array([r.required_snr_db for r in entries])
-        best_rate = np.maximum.accumulate(
-            np.array([r.rate_mbps for r in entries], dtype=float))
-        idx = np.searchsorted(thresholds, snr, side="right") - 1
-        usable = idx >= 0
+            iu, ju = self._candidate_pairs(thresholds[0])
+            deltas = self.positions[iu] - self.positions[ju]
+            pair_d = np.sqrt((deltas ** 2).sum(axis=1))
+            snr = np.asarray(self.budget.snr_at(np.maximum(pair_d, 0.1)),
+                             dtype=float)
+            idx = np.searchsorted(thresholds, snr, side="right") - 1
+            usable = idx >= 0
 
-        # Metric functions are pure in the rate; price each distinct
-        # ladder rung once instead of once per edge.
-        metric_cache = {
-            float(r): (airtime_metric_s(r), hop_count_metric(r))
-            for r in np.unique(best_rate)
-        }
-        self.graph.add_edges_from(
-            (int(i), int(j), {
-                "distance_m": float(d),
-                "snr_db": float(s),
-                "rate_mbps": rate,
-                "airtime_s": metric_cache[rate][0],
-                "hops": metric_cache[rate][1],
-            })
-            for i, j, d, s, rate in zip(
-                iu[usable], ju[usable], pair_d[usable], snr[usable],
-                (float(r) for r in best_rate[idx[usable]]))
-        )
+            # Metric functions are pure in the rate; price each distinct
+            # ladder rung once instead of once per edge.
+            metric_cache = {
+                float(r): (airtime_metric_s(r), hop_count_metric(r))
+                for r in np.unique(best_rate)
+            }
+            self.graph.add_edges_from(
+                (i, j, {
+                    "distance_m": d,
+                    "snr_db": s,
+                    "rate_mbps": rate,
+                    "airtime_s": metric_cache[rate][0],
+                    "hops": metric_cache[rate][1],
+                })
+                for i, j, d, s, rate in zip(
+                    iu[usable].tolist(), ju[usable].tolist(),
+                    pair_d[usable].tolist(), snr[usable].tolist(),
+                    best_rate[idx[usable]].tolist())
+            )
+            span.set(n_candidates=len(iu),
+                     n_edges=int(np.count_nonzero(usable)))
+
+    def _candidate_pairs(self, lowest_snr_db):
+        """Row-major sorted ``(i, j)``, i < j, of every possible link.
+
+        With a positive path-loss exponent SNR only falls with distance,
+        so every link lies within the lowest rung's range, widened by a
+        relative 1e-9 plus 1e-9 m so rounding cannot drop a link on the
+        boundary. Where that range is undefined (a non-positive exponent,
+        or a rung ``range_for_snr`` rejects as unreachable) every pair is
+        a candidate.
+        """
+        from scipy.spatial import cKDTree
+
+        reach = np.inf
+        if self.budget.path_loss_exponent > 0:
+            with contextlib.suppress(LinkBudgetError):
+                reach = self.budget.range_for_snr(lowest_snr_db)
+        radius = reach * (1.0 + 1e-9) + 1e-9 if np.isfinite(reach) \
+            else np.inf
+        pairs = cKDTree(self.positions).query_pairs(radius,
+                                                    output_type="ndarray")
+        return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))].T
 
     def link_rate_mbps(self, i, j):
         """Rate of the direct link i-j (None if out of range)."""

@@ -49,6 +49,15 @@ class TestImportHygiene:
     def test_mesh_loads_networkx(self):
         assert "networkx" in _loaded_after("import repro.mesh", HEAVY)
 
+    @pytest.mark.parametrize("module", ["repro.mesh", "repro.mesh.coverage"])
+    def test_mesh_import_skips_scipy_spatial(self, module):
+        assert _loaded_after(f"import {module}", ("scipy.spatial",)) == []
+
+    def test_mesh_graph_build_loads_scipy_spatial(self):
+        code = ("from repro.mesh import MeshNetwork\n"
+                "MeshNetwork([[0.0, 0.0], [10.0, 0.0]])")
+        assert _loaded_after(code, ("scipy.spatial",)) == ["scipy.spatial"]
+
     def test_gfsk_modulate_loads_scipy_signal(self):
         code = ("from repro.phy.fhss import GfskModem\n"
                 "GfskModem().modulate([0, 1, 1, 0])")

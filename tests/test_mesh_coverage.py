@@ -84,6 +84,42 @@ class TestCoverage:
         with pytest.raises(ConfigurationError):
             coverage_fraction(np.zeros(3), 100.0, rng=rng_factory(6))
 
+    @pytest.mark.parametrize("side", [np.nan, np.inf, -np.inf, -10.0, 0.0])
+    def test_bad_area_side_rejected(self, side):
+        with pytest.raises(ConfigurationError):
+            coverage_result(np.array([[0.0, 0.0]]), side, rng=1)
+
+    @pytest.mark.parametrize("portal", [1.7, 0.0, True, False, "0", None])
+    def test_non_integer_portal_rejected(self, portal):
+        with pytest.raises(ConfigurationError):
+            coverage_result(np.array([[0.0, 0.0], [30.0, 0.0]]), 100.0,
+                            portal=portal, rng=1)
+
+    def test_numpy_integer_portal_accepted(self):
+        pos = np.array([[0.0, 0.0], [30.0, 0.0]])
+        assert coverage_result(pos, 100.0, portal=np.int64(1), rng=1,
+                               n_samples=200).n_events == \
+            coverage_result(pos, 100.0, portal=1, rng=1,
+                            n_samples=200).n_events
+
+    def test_non_finite_mesh_position_rejected(self):
+        with pytest.raises(ConfigurationError):
+            coverage_result(np.array([[0.0, 0.0], [np.nan, 0.0]]), 100.0,
+                            rng=1)
+
+    def test_e10_outputs_unchanged(self):
+        """E10's coverage figures (benchmarks/test_bench_mesh_coverage)."""
+        area = 240.0
+        fractions = [
+            coverage_fraction(np.array([[area / 2, area / 2]]), area,
+                              n_samples=2500, rng=3),
+            coverage_fraction(grid_positions(2, 55.0) + (area - 55.0) / 2,
+                              area, n_samples=2500, rng=3),
+            coverage_fraction(grid_positions(3, 55.0) + (area - 110.0) / 2,
+                              area, n_samples=2500, rng=3),
+        ]
+        assert fractions == [0.198, 0.4712, 0.866]
+
     def test_vectorized_identical_to_scalar_loop(self, rng_factory):
         """The distance-matrix path must reproduce the seed-era
         per-sample scalar loop bit for bit at the same seed."""
