@@ -7,7 +7,8 @@ can I be and still hold SNR x?" — the backbone of every range experiment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 from repro.channel.awgn import noise_floor_dbm
 from repro.channel.pathloss import (
@@ -37,6 +38,10 @@ class LinkBudget:
     fade_margin_db : float
         Extra margin subtracted from the budget (slow fading allowance);
         diversity techniques reduce the margin needed.
+
+    Every field must be finite, and the frequency, bandwidth, breakpoint
+    and exponent positive, so SNR always falls with distance; anything
+    else raises :class:`~repro.errors.ConfigurationError`.
     """
 
     tx_power_dbm: float = 17.0
@@ -47,6 +52,19 @@ class LinkBudget:
     breakpoint_m: float = 5.0
     path_loss_exponent: float = 3.5
     fade_margin_db: float = 0.0
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ConfigurationError(
+                    f"LinkBudget.{f.name} must be finite, got {value!r}")
+        for name in ("frequency_hz", "bandwidth_hz", "breakpoint_m",
+                     "path_loss_exponent"):
+            value = getattr(self, name)
+            if value <= 0:
+                raise ConfigurationError(
+                    f"LinkBudget.{name} must be positive, got {value!r}")
 
     @property
     def noise_dbm(self):

@@ -126,8 +126,7 @@ def _run_link_point(params, rng):
     carries the Wilson CI on the PER, the consumed trial count and the
     engine's stop reason, so every stored point ships its error bars.
     An ``analytic_floor`` param enables the union-bound fast path
-    (``stop_reason="analytic"``, zero packets sent); ``kernels``
-    selects the decoder backend.
+    (``stop_reason="analytic"``, zero packets sent).
     """
     from repro.core.link import LinkSimulator
 
@@ -137,7 +136,6 @@ def _run_link_point(params, rng):
         n_rx=params.get("n_rx"),
         detector=params.get("detector", "mmse"),
         rng=rng,
-        kernels=params.get("kernels"),
     )
     precision = params.get("precision")
     max_trials = params.get("max_trials")
@@ -195,7 +193,6 @@ def _run_link_grid_point(params, rng):
         channel=params.get("channel", "awgn"),
         analytic_floor=float(floor) if floor is not None else None,
         confidence=confidence,
-        kernels=params.get("kernels"),
         rng=int(draw_seed) if draw_seed is not None else rng,
     )[0]
     per_ci = [r.per_ci(confidence) for r in row]

@@ -88,8 +88,7 @@ def _cmd_link(args):
     else:
         from repro.core.link import LinkSimulator
 
-        sim = LinkSimulator(args.phy, args.channel, rng=args.seed,
-                            kernels=getattr(args, "kernels", None))
+        sim = LinkSimulator(args.phy, args.channel, rng=args.seed)
     run_kwargs = dict(n_packets=args.packets, payload_bytes=args.bytes,
                       precision=args.precision,
                       max_trials=args.max_trials)
@@ -534,10 +533,6 @@ def build_parser():
     p_link.add_argument("--precision", type=float, default=None,
                         help="adaptive mode: stop when the relative CI "
                              "half-width on the PER drops below this")
-    p_link.add_argument("--kernels", default=None,
-                        choices=("auto", "numpy", "numba"),
-                        help="decoder kernel backend (default: "
-                             "REPRO_KERNELS or auto)")
     p_link.add_argument("--analytic-floor", type=float, default=None,
                         metavar="PER",
                         help="skip Monte-Carlo when the union-bound PER "

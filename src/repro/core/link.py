@@ -24,7 +24,6 @@ received signal power per RX antenna over complex noise variance.
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,7 +39,6 @@ from repro.channel.models import TGN_PROFILES, tgn_channel
 from repro.core.mc import analytic_result, run_grid_trials, run_trials
 from repro.core.mc.stats import rate_interval
 from repro.errors import ConfigurationError, ReproError
-from repro.phy import kernels as phy_kernels
 from repro.phy.cck import CckPhy
 from repro.phy.dsss import DsssPhy
 from repro.phy.fhss import GfskModem
@@ -156,12 +154,6 @@ class LinkSimulator:
     detector : str
         HT detector ("mmse", "zf", "ml").
     rng : seed or Generator
-    kernels : str or None
-        Decoder kernel backend for this simulator's runs ("numpy",
-        "numba" or "auto"); ``None`` defers to ``REPRO_KERNELS`` / the
-        process-wide setting. Requesting "numba" without numba
-        installed fails here, up front, with a
-        :class:`~repro.errors.ConfigurationError`.
 
     Examples
     --------
@@ -172,21 +164,13 @@ class LinkSimulator:
     """
 
     def __init__(self, phy, channel="awgn", n_rx=None, detector="mmse",
-                 rng=None, kernels=None):
+                 rng=None):
         self.phy_name = phy
         self.channel_name = channel
         self.rng = as_generator(rng)
         self._detector = detector
         self._make_phy(phy, n_rx, detector)
         self._validate_channel(channel)
-        if kernels is not None:
-            phy_kernels.require_backend(kernels)
-        self.kernels = kernels
-
-    def _kernel_ctx(self):
-        if self.kernels is None:
-            return contextlib.nullcontext()
-        return phy_kernels.use_backend(self.kernels)
 
     # -- construction -------------------------------------------------------
 
@@ -420,8 +404,7 @@ class LinkSimulator:
 
         with obs.span("link.run", phy=self.phy_name,
                       channel=self.channel_name,
-                      snr_db=float(snr_db)) as span, obs.timed() as clock, \
-                self._kernel_ctx():
+                      snr_db=float(snr_db)) as span, obs.timed() as clock:
             if vectorized:
                 # Python's scalar power, as the per-packet loop computes
                 # it; numpy's array power can differ in the last bit.
@@ -476,7 +459,7 @@ class LinkSimulator:
             [self.phy_name], snr_values_db, n_packets, payload_bytes,
             channel=self.channel_name, cross_point=cross_point,
             analytic_floor=analytic_floor, confidence=confidence,
-            batch_size=batch_size, rng=self.rng, kernels=self.kernels)[0]
+            batch_size=batch_size, rng=self.rng)[0]
 
     def snr_for_per(self, target_per=0.1, lo_db=-5.0, hi_db=45.0,
                     n_packets=100, payload_bytes=100, tolerance_db=0.5,
@@ -693,7 +676,7 @@ def _analytic_floor(floor):
 
 def run_link_grid(phys, snr_values_db, n_packets=100, payload_bytes=100, *,
                   channel="awgn", cross_point=True, analytic_floor=None,
-                  confidence=0.95, batch_size=50, rng=None, kernels=None):
+                  confidence=0.95, batch_size=50, rng=None):
     """Run a whole (rate, SNR) grid through shared kernel invocations.
 
     The cross-point batcher behind :meth:`LinkSimulator.run_grid`. Trial
@@ -721,8 +704,6 @@ def run_link_grid(phys, snr_values_db, n_packets=100, payload_bytes=100, *,
         Union-bound fast path: grid points whose bound is at or below
         the floor send no packets and come back flagged
         ``stop_reason="analytic"``.
-    kernels : str or None
-        Decoder backend for the whole grid ("numpy"/"numba"/"auto").
     rng : seed or Generator
         Consumed exactly once (for the per-trial substream entropy).
 
@@ -742,9 +723,7 @@ def run_link_grid(phys, snr_values_db, n_packets=100, payload_bytes=100, *,
         raise ConfigurationError(
             f"cross-point grids support 'awgn' or 'rayleigh' channels, "
             f"got {channel!r}; run TGN sweeps through waterfall()")
-    if kernels is not None:
-        phy_kernels.require_backend(kernels)
-    sims = [LinkSimulator(p, channel, kernels=kernels) for p in phys]
+    sims = [LinkSimulator(p, channel) for p in phys]
     for sim in sims:
         if sim._kind != "ofdm":
             raise ConfigurationError(
@@ -770,8 +749,7 @@ def run_link_grid(phys, snr_values_db, n_packets=100, payload_bytes=100, *,
 
     with obs.span("link.grid", n_phys=len(sims), n_snrs=n_snr,
                   cross_point=bool(cross_point),
-                  n_analytic=len(analytic)) as span, obs.timed() as clock, \
-            sims[0]._kernel_ctx():
+                  n_analytic=len(analytic)) as span, obs.timed() as clock:
         if cross_point:
             mcs = run_grid_trials(
                 grid_fn, n_packets, n_points, target="packet_error",

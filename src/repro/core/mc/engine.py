@@ -127,7 +127,6 @@ def analytic_result(estimate, *, target, method="union-bound",
         raise ConfigurationError(
             f"analytic rate estimate must be in [0, 1], got {estimate}")
     obs.counter("mc.stop.analytic")
-    obs_metrics.count("mc.stop.analytic")
     return McResult(
         estimate=estimate,
         ci_low=0.0,
@@ -205,18 +204,14 @@ def _run_batch(n, fn, *args):
 
 
 def _record_run(span, clock, n_run, stop_reasons):
-    """Count a finished run's trials and stop reasons, once each, in the
-    tracer and the metrics registry, and set its span's throughput."""
+    """Count a finished run's trials and stop reasons, once each, and
+    set its span's throughput."""
     obs.counter("mc.trials", n_run)
-    obs_metrics.count("mc.trials", n_run)
     for reason in STOP_REASONS:
         n_stopped = sum(1 for r in stop_reasons if r == reason)
         if n_stopped:
             obs.counter(f"mc.stop.{reason}", n_stopped)
-            obs_metrics.count(f"mc.stop.{reason}", n_stopped)
     rate = n_run / clock.elapsed if clock.elapsed > 0 else 0.0
-    if clock.elapsed > 0:
-        obs_metrics.gauge("mc.trials_per_s", rate)
     span.set(n_trials=n_run, trials_per_s=rate)
 
 

@@ -106,19 +106,17 @@ class MeshNetwork:
     def _candidate_pairs(self, lowest_snr_db):
         """Row-major sorted ``(i, j)``, i < j, of every possible link.
 
-        With a positive path-loss exponent SNR only falls with distance,
-        so every link lies within the lowest rung's range, widened by a
-        relative 1e-9 plus 1e-9 m so rounding cannot drop a link on the
-        boundary. Where that range is undefined (a non-positive exponent,
-        or a rung ``range_for_snr`` rejects as unreachable) every pair is
-        a candidate.
+        A :class:`LinkBudget`'s SNR only falls with distance, so every
+        link lies within the lowest rung's range, widened by a relative
+        1e-9 plus 1e-9 m so rounding cannot drop a link on the boundary.
+        Where ``range_for_snr`` rejects the rung as unreachable every
+        pair is a candidate.
         """
         from scipy.spatial import cKDTree
 
         reach = np.inf
-        if self.budget.path_loss_exponent > 0:
-            with contextlib.suppress(LinkBudgetError):
-                reach = self.budget.range_for_snr(lowest_snr_db)
+        with contextlib.suppress(LinkBudgetError):
+            reach = self.budget.range_for_snr(lowest_snr_db)
         radius = reach * (1.0 + 1e-9) + 1e-9 if np.isfinite(reach) \
             else np.inf
         pairs = cKDTree(self.positions).query_pairs(radius,

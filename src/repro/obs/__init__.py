@@ -120,10 +120,16 @@ def span(name, **attrs):
 
 
 def counter(name, n=1):
-    """Bump a counter on the active tracer (no-op when disabled)."""
+    """Bump a counter on the active tracer and the active metrics registry.
+
+    The repo's one counter call: each store costs one branch when off.
+    """
     tracer = _TRACER
     if tracer is not None:
         tracer.counter(name, n)
+    registry = metrics._REGISTRY
+    if registry is not None:
+        registry.count(name, n)
 
 
 def event(name, duration_s=0.0, **attrs):

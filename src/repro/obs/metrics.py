@@ -1,21 +1,22 @@
-"""Process-wide metric registry: counters, gauges, log-bucket histograms.
+"""Process-wide metric registry: counters and log-bucket histograms.
 
 Where the tracer (:mod:`repro.obs.tracer`) records *what happened when*
 — a timeline of spans — this module records *how the run is doing right
-now*: monotonic counters (trials executed), gauges (current trials/sec)
-and fixed-log-bucket histograms (per-point wall time, MC batch
-latency). The live status snapshotter (:mod:`repro.obs.live`) ships
+now*: monotonic counters (trials executed) and fixed-log-bucket
+histograms (per-point wall time, MC batch latency). The live status
+snapshotter (:mod:`repro.obs.live`) ships
 :meth:`MetricsRegistry.snapshot` dicts from campaign workers to the
 parent on every heartbeat and folds them into ``status.json``, so a
 long-running campaign exposes its latency distribution *while* it runs
 instead of only in the post-hoc trace report.
 
 The enablement contract is the tracer's, exactly: a process global that
-defaults to ``None``, module-level accessors that test it once and
-return. With no registry installed every ``metrics.observe(...)`` /
-``metrics.count(...)`` on a simulation hot path costs a single branch —
-the same budget the ``<5%`` disabled-overhead guard in
-``tests/test_obs.py`` enforces for spans and counters.
+defaults to ``None``. Counters are bumped through
+:func:`repro.obs.counter`, which feeds the active tracer and the active
+registry, one branch each when they are off — the budget the ``<5%``
+disabled-overhead guard in ``tests/test_obs.py`` enforces. The two
+stores stay separate: the tracer flushes crash-safe per-trace deltas,
+while a registry keeps one cumulative snapshot per campaign board.
 
 Histograms use *fixed* log-spaced buckets (``per_decade`` buckets per
 factor of 10 between ``lo`` and ``hi``) rather than adaptive ones so
@@ -26,12 +27,12 @@ bucket at the default 4/decade), which is plenty for a progress view.
 
 Quick use::
 
+    from repro import obs
     from repro.obs import metrics
 
     with metrics.use_registry(metrics.MetricsRegistry()) as reg:
-        metrics.observe("point.wall_s", 0.31)
-        metrics.count("trials", 500)
-        metrics.gauge("trials_per_s", 1613.0)
+        reg.observe("point.wall_s", 0.31)
+        obs.counter("trials", 500)
     snap = reg.snapshot()          # JSON-safe, mergeable
     merged = metrics.merge_snapshots([snap, other_snap])
 """
@@ -164,28 +165,22 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Thread-safe registry of named counters, gauges, and histograms.
+    """Thread-safe registry of named counters and histograms.
 
-    All mutation goes through :meth:`count` / :meth:`gauge` /
-    :meth:`observe`; :meth:`snapshot` returns a JSON-safe cumulative
-    dict that :func:`merge_snapshots` can fold across processes.
+    All mutation goes through :meth:`count` / :meth:`observe`;
+    :meth:`snapshot` returns a JSON-safe cumulative dict that
+    :func:`merge_snapshots` can fold across processes.
     """
 
     def __init__(self):
         self._lock = threading.Lock()
         self._counters = {}
-        self._gauges = {}
         self._histograms = {}
 
     def count(self, name, n=1):
         """Add ``n`` to the monotonic counter ``name``."""
         with self._lock:
             self._counters[name] = self._counters.get(name, 0) + n
-
-    def gauge(self, name, value):
-        """Set gauge ``name`` to its current ``value``."""
-        with self._lock:
-            self._gauges[name] = float(value)
 
     def observe(self, name, value, lo=DEFAULT_LO, hi=DEFAULT_HI,
                 per_decade=DEFAULT_PER_DECADE):
@@ -207,7 +202,6 @@ class MetricsRegistry:
         with self._lock:
             return {
                 "counters": dict(self._counters),
-                "gauges": dict(self._gauges),
                 "histograms": {name: h.snapshot()
                                for name, h in self._histograms.items()},
             }
@@ -216,18 +210,14 @@ class MetricsRegistry:
 def merge_snapshots(snapshots):
     """Fold per-process cumulative snapshots into one combined view.
 
-    Counters and histogram buckets sum; gauges sum too — the gauges
-    this repo ships (``mc.trials_per_s``) are per-process rates, and
-    the fleet-wide rate is their sum. Returns a snapshot-shaped dict.
+    Counters and histogram buckets sum. Returns a snapshot-shaped dict.
     """
-    counters, gauges, histograms = {}, {}, {}
+    counters, histograms = {}, {}
     for snap in snapshots:
         if not snap:
             continue
         for name, value in (snap.get("counters") or {}).items():
             counters[name] = counters.get(name, 0) + value
-        for name, value in (snap.get("gauges") or {}).items():
-            gauges[name] = gauges.get(name, 0.0) + float(value)
         for name, hsnap in (snap.get("histograms") or {}).items():
             if name in histograms:
                 histograms[name].merge(hsnap)
@@ -235,7 +225,6 @@ def merge_snapshots(snapshots):
                 histograms[name] = Histogram.from_snapshot(hsnap)
     return {
         "counters": counters,
-        "gauges": gauges,
         "histograms": {name: h.snapshot()
                        for name, h in histograms.items()},
     }
@@ -264,11 +253,6 @@ def current_registry():
     return _REGISTRY
 
 
-def enabled():
-    """True when a registry is installed."""
-    return _REGISTRY is not None
-
-
 def set_registry(registry):
     """Install ``registry`` process-wide (``None`` disables metrics)."""
     global _REGISTRY
@@ -286,24 +270,3 @@ def use_registry(registry):
         yield registry
     finally:
         _REGISTRY = previous
-
-
-def count(name, n=1):
-    """Bump a counter on the active registry (one branch when disabled)."""
-    registry = _REGISTRY
-    if registry is not None:
-        registry.count(name, n)
-
-
-def gauge(name, value):
-    """Set a gauge on the active registry (one branch when disabled)."""
-    registry = _REGISTRY
-    if registry is not None:
-        registry.gauge(name, value)
-
-
-def observe(name, value):
-    """Histogram one sample on the active registry (one branch when off)."""
-    registry = _REGISTRY
-    if registry is not None:
-        registry.observe(name, value)

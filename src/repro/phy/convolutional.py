@@ -230,8 +230,7 @@ def _decode_plan(n_info_bits, rate, terminated):
     return expected, n_steps, keep
 
 
-def viterbi_decode(soft_bits, n_info_bits, rate="1/2", terminated=True,
-                   kernels_backend=None):
+def viterbi_decode(soft_bits, n_info_bits, rate="1/2", terminated=True):
     """Maximum-likelihood sequence decoding of the (133, 171) code.
 
     Parameters
@@ -246,10 +245,6 @@ def viterbi_decode(soft_bits, n_info_bits, rate="1/2", terminated=True,
     terminated : bool
         Whether the encoder appended six tail zeros (forces the traceback
         to end in state 0).
-    kernels_backend : str or None
-        Kernel backend override (``"numpy"`` / ``"numba"``); ``None``
-        follows :func:`repro.phy.kernels.resolve_backend`. Both
-        backends are bit-identical.
 
     Returns
     -------
@@ -260,14 +255,13 @@ def viterbi_decode(soft_bits, n_info_bits, rate="1/2", terminated=True,
     """
     soft = np.asarray(soft_bits, dtype=float)
     if soft.ndim == 1:
-        return _viterbi_2d(soft[None, :], n_info_bits, rate, terminated,
-                           kernels_backend)[0]
+        return _viterbi_2d(soft[None, :], n_info_bits, rate, terminated)[0]
     if soft.ndim != 2:
         raise CodingError(f"soft bits must be 1-D or 2-D, got shape {soft.shape}")
-    return _viterbi_2d(soft, n_info_bits, rate, terminated, kernels_backend)
+    return _viterbi_2d(soft, n_info_bits, rate, terminated)
 
 
-def _viterbi_2d(soft, n_info_bits, rate, terminated, backend=None):
+def _viterbi_2d(soft, n_info_bits, rate, terminated):
     """One add-compare-select sweep shared by a whole batch of frames."""
     expected, n_steps, keep = _decode_plan(int(n_info_bits), rate,
                                            bool(terminated))
@@ -282,16 +276,15 @@ def _viterbi_2d(soft, n_info_bits, rate, terminated, backend=None):
     llr_a = mother[:, 0::2]
     llr_b = mother[:, 1::2]
 
-    # The ACS sweep and traceback run on the selected kernels backend;
-    # see repro.phy.kernels for the (bit-identical) implementations.
+    # The ACS sweep and traceback run on the REPRO_KERNELS backend; see
+    # repro.phy.kernels for the (bit-identical) implementations.
     decisions, metrics = kernels.viterbi_forward(llr_a, llr_b,
-                                                 _SIGN_A, _SIGN_B,
-                                                 backend=backend)
+                                                 _SIGN_A, _SIGN_B)
     if terminated:
         state = np.zeros(batch, dtype=np.int64)
     else:
         state = np.argmax(metrics, axis=1)
-    decoded = kernels.viterbi_traceback(decisions, state, backend=backend)
+    decoded = kernels.viterbi_traceback(decisions, state)
     return decoded[:, :n_info_bits]
 
 

@@ -14,36 +14,30 @@ implementations:
     messages are IEEE-identical to the numpy path. Requires the
     optional ``numba`` dependency (``pip install repro[fast]``).
 
-Backend selection, in precedence order:
+The ``REPRO_KERNELS`` environment variable is the one switch between
+them: ``numba``, ``numpy`` or ``auto``; unset means ``auto`` (numba
+when importable, numpy otherwise). It is read on every kernel call, so
+a change takes effect on the next decode.
 
-1. an explicit ``backend=`` argument on the kernel call;
-2. a process-wide override installed via :func:`set_backend` (the CLI's
-   ``--kernels`` knob);
-3. the ``REPRO_KERNELS`` environment variable (``numba`` / ``numpy`` /
-   ``auto``);
-4. ``auto`` — numba when importable, numpy otherwise.
-
-Requesting ``numba`` when it is not installed raises
-:class:`~repro.errors.ConfigurationError` (a clean CLI error, exit 2),
-never an ``ImportError`` traceback. ``tests/test_kernels.py`` checks
-every available backend against a plain-Python ACS and traceback, and
-both backends are held bit-exactly to the ``tests/test_phy_goldens.py``
-golden vectors.
+Setting ``REPRO_KERNELS=numba`` when numba is not installed raises
+:class:`~repro.errors.ConfigurationError` on the first decode (a clean
+CLI error, exit 2), never an ``ImportError`` traceback.
+``tests/test_kernels.py`` checks every available backend against a
+plain-Python ACS and traceback, and both backends are held bit-exactly
+to the ``tests/test_phy_goldens.py`` golden vectors.
 """
 
 from __future__ import annotations
 
-import contextlib
 import os
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 
-#: Backends a caller may name (``auto`` resolves to one of the others).
+#: Values ``REPRO_KERNELS`` may take (``auto`` resolves to another).
 KNOWN_BACKENDS = ("auto", "numpy", "numba")
 
-_OVERRIDE = None  # process-wide backend override (set_backend)
 _NUMBA_OK = None  # tri-state import-probe cache: None = not yet probed
 _COMPILED = {}  # name -> jitted function, filled on first numba use
 
@@ -65,35 +59,6 @@ def available_backends():
     return ("numpy", "numba") if numba_available() else ("numpy",)
 
 
-def set_backend(name):
-    """Install (or with ``None`` clear) the process-wide backend override.
-
-    Returns the previous override so callers can restore it.
-    """
-    global _OVERRIDE
-    if name is not None:
-        name = str(name)
-        if name not in KNOWN_BACKENDS:
-            raise ConfigurationError(
-                f"unknown kernels backend {name!r}; use one of "
-                f"{', '.join(KNOWN_BACKENDS)}"
-            )
-        if name == "numba":
-            require_backend("numba")
-    previous, _OVERRIDE = _OVERRIDE, name
-    return previous
-
-
-@contextlib.contextmanager
-def use_backend(name):
-    """Context manager: run a block under one kernels backend."""
-    previous = set_backend(name)
-    try:
-        yield
-    finally:
-        set_backend(previous)
-
-
 def require_backend(name):
     """Validate that ``name`` is usable here; raise cleanly otherwise."""
     if name not in KNOWN_BACKENDS:
@@ -110,20 +75,17 @@ def require_backend(name):
     return name
 
 
-def resolve_backend(backend=None):
-    """Resolve ``backend``/override/env/auto to ``"numpy"`` or ``"numba"``.
+def resolve_backend():
+    """Resolve ``REPRO_KERNELS`` (unset: ``auto``) to ``"numpy"``/``"numba"``.
 
-    ``auto`` (the default) picks numba when it is installed — the
-    fallback is silent by design, so an environment without the
-    optional dependency runs the identical numpy arithmetic.
+    ``auto`` picks numba when it is installed — the fallback is silent
+    by design, so an environment without the optional dependency runs
+    the identical numpy arithmetic.
     """
-    name = backend if backend is not None else (
-        _OVERRIDE if _OVERRIDE is not None
-        else os.environ.get("REPRO_KERNELS") or "auto")
-    require_backend(str(name))
+    name = require_backend(os.environ.get("REPRO_KERNELS") or "auto")
     if name == "auto":
         return "numba" if numba_available() else "numpy"
-    return str(name)
+    return name
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +200,7 @@ def _numba_kernels():
 # Dispatching kernel entry points
 # ---------------------------------------------------------------------------
 
-def viterbi_forward(llr_a, llr_b, sign_a, sign_b, backend=None):
+def viterbi_forward(llr_a, llr_b, sign_a, sign_b):
     """Run the ACS sweep; returns ``(decisions, final_metrics)``.
 
     ``decisions`` is ``(n_steps, batch, 64)`` bool — True where the
@@ -248,7 +210,7 @@ def viterbi_forward(llr_a, llr_b, sign_a, sign_b, backend=None):
     metrics = np.full((batch, 64), -np.inf)
     metrics[:, 0] = 0.0
     decisions = np.empty((n_steps, batch, 64), dtype=bool)
-    if resolve_backend(backend) == "numba":
+    if resolve_backend() == "numba":
         _numba_kernels()["acs_forward"](
             np.ascontiguousarray(llr_a), np.ascontiguousarray(llr_b),
             sign_a, sign_b, decisions, metrics)
@@ -302,11 +264,11 @@ def acs_chunk(batch):
     return max(1, ACS_CHUNK_VALUES // (128 * max(1, int(batch))))
 
 
-def viterbi_traceback(decisions, start_states, backend=None):
+def viterbi_traceback(decisions, start_states):
     """Walk the survivor memory backwards; returns (batch, n_steps) bits."""
     n_steps, batch, _ = decisions.shape
     decoded = np.empty((batch, n_steps), dtype=np.int8)
-    if resolve_backend(backend) == "numba":
+    if resolve_backend() == "numba":
         _numba_kernels()["traceback"](
             decisions, np.ascontiguousarray(start_states, dtype=np.int64),
             decoded)
@@ -322,10 +284,9 @@ def viterbi_traceback(decisions, start_states, backend=None):
     return decoded
 
 
-def min_sum_check_update(m_vc, starts, counts, normalisation, clip,
-                         backend=None):
+def min_sum_check_update(m_vc, starts, counts, normalisation, clip):
     """Normalised min-sum check-node update (check-sorted edge order)."""
-    if resolve_backend(backend) == "numba":
+    if resolve_backend() == "numba":
         out = np.empty_like(m_vc)
         _numba_kernels()["min_sum_check"](
             np.ascontiguousarray(m_vc, dtype=np.float64),

@@ -359,7 +359,6 @@ class LdpcCode:
         max_iterations=50,
         algorithm="min-sum",
         normalisation=0.8,
-        kernels_backend=None,
     ):
         """Belief-propagation decoding.
 
@@ -373,11 +372,6 @@ class LdpcCode:
             "min-sum" (normalised) or "sum-product".
         normalisation : float
             Scaling factor for normalised min-sum (ignored by sum-product).
-        kernels_backend : str or None
-            Kernel backend for the min-sum check update (``"numpy"`` /
-            ``"numba"``, bit-identical); ``None`` follows
-            :func:`repro.phy.kernels.resolve_backend`. Sum-product
-            always runs the numpy path.
 
         Returns
         -------
@@ -397,8 +391,7 @@ class LdpcCode:
             return hard, True, 0
 
         for iteration in range(1, max_iterations + 1):
-            m_cv = self._check_update(m_vc, algorithm, normalisation,
-                                      kernels_backend)
+            m_cv = self._check_update(m_vc, algorithm, normalisation)
             totals = llrs + np.add.reduceat(
                 m_cv[self._to_var_order], self._var_starts
             )
@@ -408,14 +401,13 @@ class LdpcCode:
                 return hard, True, iteration
         return hard, False, max_iterations
 
-    def _check_update(self, m_vc, algorithm, normalisation, backend=None):
+    def _check_update(self, m_vc, algorithm, normalisation):
         starts = self._check_starts
         if algorithm == "min-sum":
-            # Hot BP kernel: dispatched to the selected (numpy or
+            # Hot BP kernel: dispatched to the REPRO_KERNELS (numpy or
             # numba, bit-identical) backend in repro.phy.kernels.
             return kernels.min_sum_check_update(
-                m_vc, starts, self._check_counts, normalisation,
-                _MSG_CLIP, backend=backend)
+                m_vc, starts, self._check_counts, normalisation, _MSG_CLIP)
         # sum-product via tanh rule, excluding self by division in the
         # magnitude-log domain to stay numerically safe.
         t = np.tanh(np.clip(m_vc, -_MSG_CLIP, _MSG_CLIP) / 2.0)

@@ -29,8 +29,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro import obs
-from repro.analysis.per import per_from_ber
-from repro.analysis.union_bound import WEIGHT_SPECTRUM, union_bound_ber
 from repro.core.link import LinkSimulator
 from repro.errors import ConfigurationError
 
@@ -86,16 +84,6 @@ class ValidationReport:
         return out
 
 
-def _ofdm_code_rate(phy):
-    """Convolutional code rate string of an OFDM phy name, or ``None``."""
-    if not phy.startswith("ofdm-"):
-        return None
-    from repro.phy.ofdm import OfdmPhy
-
-    rate = OfdmPhy(int(phy.split("-")[1])).rate.code_rate
-    return rate if rate in WEIGHT_SPECTRUM else None
-
-
 def _intervals_overlap(a, b):
     return a[0] <= b[1] and b[0] <= a[1]
 
@@ -147,19 +135,13 @@ def validate_surface(surface, phys=None, snr_db=None, payload_bytes=None,
                     ))
                     obs.counter("surrogate.validate.mc_checks")
 
-            code_rate = _ofdm_code_rate(phy)
-            if code_rate is None or surface.channel != "awgn":
-                continue  # the bound models coded OFDM over AWGN only
-            rate_mbps = float(surface.rate_mbps[surface.phy_index(phy)])
             top_snr = float(snrs[-1])
             for pay in pays:
+                bounds = sim.analytic_bounds(top_snr, int(pay))
+                if bounds is None:
+                    break  # the bound models coded OFDM over AWGN only
                 stored = surface.cell(phy, top_snr, int(pay))
-                # SNR (per 20 MHz symbol bandwidth) -> Eb/N0 at the
-                # PHY's information rate.
-                ebn0_db = top_snr + 10.0 * np.log10(20.0 / rate_mbps)
-                bound_ber = float(union_bound_ber(ebn0_db, code_rate))
-                bound_per = float(per_from_ber(min(bound_ber, 1.0),
-                                               8 * int(pay)))
+                bound_per = bounds["per"]
                 limit = min(1.0, union_bound_slack * bound_per
                             + 3.0 / max(stored["n_trials"], 1))
                 ok = stored["per"] <= limit
@@ -167,8 +149,8 @@ def validate_surface(surface, phys=None, snr_db=None, payload_bytes=None,
                     kind="union-bound", phy=phy, snr_db=top_snr,
                     payload_bytes=int(pay), ok=ok,
                     detail=(f"measured PER {stored['per']:.4g} vs bound "
-                            f"{bound_per:.4g} (rate {code_rate}, "
-                            f"Eb/N0 {ebn0_db:.1f} dB, limit "
+                            f"{bound_per:.4g} (rate {bounds['code_rate']}, "
+                            f"Eb/N0 {bounds['ebn0_db']:.1f} dB, limit "
                             f"{limit:.4g})"),
                 ))
                 obs.counter("surrogate.validate.bound_checks")

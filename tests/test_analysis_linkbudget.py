@@ -7,6 +7,29 @@ from repro.errors import ConfigurationError, LinkBudgetError
 from repro.standards.registry import get_standard
 
 
+class TestValidation:
+    @pytest.mark.parametrize("field", ["tx_power_dbm", "frequency_hz",
+                                       "noise_figure_db", "fade_margin_db"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf")])
+    def test_non_finite_field_rejected(self, field, value):
+        with pytest.raises(ConfigurationError,
+                           match=f"{field} must be finite"):
+            LinkBudget(**{field: value})
+
+    @pytest.mark.parametrize("field", ["frequency_hz", "bandwidth_hz",
+                                       "breakpoint_m", "path_loss_exponent"])
+    @pytest.mark.parametrize("value", [0.0, -1.0])
+    def test_non_positive_field_rejected(self, field, value):
+        with pytest.raises(ConfigurationError,
+                           match=f"{field} must be positive"):
+            LinkBudget(**{field: value})
+
+    def test_negative_gains_and_powers_allowed(self):
+        budget = LinkBudget(tx_power_dbm=-10.0, antenna_gain_db=-3.0)
+        assert budget.snr_at(10.0) < LinkBudget().snr_at(10.0)
+
+
 class TestSnrAt:
     def test_monotone_decreasing(self):
         budget = LinkBudget()

@@ -267,6 +267,21 @@ class TestRunner:
         again = run_campaign(spec, store=ResultsStore(tmp_path))
         assert again.n_executed == 1
 
+    def test_kernels_param_is_ignored_and_keeps_its_key(self):
+        """Old specs may carry ``kernels``: it loads, keys, and is not read.
+
+        ``REPRO_KERNELS`` alone picks the decoder, so a spec asking for
+        numba runs ``ok`` on a host without it, under the key such a
+        spec has always had.
+        """
+        spec = quick_spec(
+            factors={"phy": ["ofdm-6"]},
+            fixed={"channel": "awgn", "snr_db": 8.0, "n_packets": 3,
+                   "payload_bytes": 20, "kernels": "numba"})
+        record, = run_campaign(spec).records
+        assert record["outcome"] == "ok"
+        assert record["key"] == "0081c51dbf678b29"
+
     def test_custom_point_kind(self):
         register_point_kind(
             "echo", lambda params, rng: {"double": 2 * params["x"]},

@@ -26,14 +26,15 @@ needs_numba = pytest.mark.skipif(not kernels.numba_available(),
 
 
 @pytest.fixture(autouse=True)
-def _clean_backend_state():
-    """Isolate override/env state so tests cannot leak into each other."""
-    previous = kernels.set_backend(None)
-    env = os.environ.pop("REPRO_KERNELS", None)
-    yield
-    kernels.set_backend(previous)
-    if env is not None:
-        os.environ["REPRO_KERNELS"] = env
+def _clean_backend_state(monkeypatch):
+    """Start every test with ``REPRO_KERNELS`` unset (``auto``)."""
+    monkeypatch.delenv("REPRO_KERNELS", raising=False)
+
+
+def _under(monkeypatch, backend, fn, *args, **kwargs):
+    """Call ``fn`` with ``REPRO_KERNELS`` set to ``backend``."""
+    monkeypatch.setenv("REPRO_KERNELS", backend)
+    return fn(*args, **kwargs)
 
 
 class TestBackendRegistry:
@@ -44,52 +45,39 @@ class TestBackendRegistry:
         if not kernels.numba_available():
             assert kernels.resolve_backend() == "numpy"
 
-    def test_resolve_explicit_arg_wins(self):
-        kernels.set_backend("auto")
-        assert kernels.resolve_backend("numpy") == "numpy"
+    def test_resolve_env(self, monkeypatch):
+        assert _under(monkeypatch, "numpy", kernels.resolve_backend) == "numpy"
 
-    def test_resolve_env(self):
-        os.environ["REPRO_KERNELS"] = "numpy"
-        assert kernels.resolve_backend() == "numpy"
-
-    def test_override_beats_env(self):
-        os.environ["REPRO_KERNELS"] = "auto"
-        kernels.set_backend("numpy")
-        assert kernels.resolve_backend() == "numpy"
-
-    def test_unknown_backend_rejected(self):
+    def test_unknown_backend_rejected(self, monkeypatch):
         with pytest.raises(ConfigurationError, match="unknown kernels"):
-            kernels.resolve_backend("fortran")
+            kernels.require_backend("fortran")
         with pytest.raises(ConfigurationError, match="unknown kernels"):
-            kernels.set_backend("fortran")
+            _under(monkeypatch, "fortran", kernels.resolve_backend)
 
-    def test_use_backend_restores(self):
-        with kernels.use_backend("numpy"):
-            assert kernels.resolve_backend() == "numpy"
-        assert kernels._OVERRIDE is None
-
-    def test_numba_missing_is_clean_error(self):
+    def test_numba_missing_is_clean_error(self, monkeypatch):
         if kernels.numba_available():
             pytest.skip("numba installed here")
         with pytest.raises(ConfigurationError, match="repro\\[fast\\]"):
             kernels.require_backend("numba")
         with pytest.raises(ConfigurationError, match="repro\\[fast\\]"):
-            kernels.set_backend("numba")
+            _under(monkeypatch, "numba", kernels.resolve_backend)
 
     def test_require_numpy_ok(self):
         assert kernels.require_backend("numpy") == "numpy"
 
 
 class TestCliKernelsFlag:
+    """``repro link`` under the ``REPRO_KERNELS`` environment switch."""
+
     def test_link_kernels_numba_missing_exits_2(self):
-        """`repro link --kernels numba` must fail cleanly, not traceback."""
+        """`REPRO_KERNELS=numba repro link` fails cleanly, no traceback."""
         if kernels.numba_available():
             pytest.skip("numba installed here")
         proc = subprocess.run(
             [sys.executable, "-m", "repro", "link", "ofdm-6", "awgn", "20",
-             "--packets", "1", "--bytes", "20", "--kernels", "numba"],
+             "--packets", "1", "--bytes", "20"],
             capture_output=True, text=True,
-            env={**os.environ,
+            env={**os.environ, "REPRO_KERNELS": "numba",
                  "PYTHONPATH": os.path.join(os.path.dirname(__file__),
                                             os.pardir, "src")})
         assert proc.returncode == 2
@@ -97,11 +85,12 @@ class TestCliKernelsFlag:
         assert "repro[fast]" in proc.stderr
         assert "Traceback" not in proc.stderr
 
-    def test_link_kernels_numpy_runs(self, capsys):
+    def test_link_kernels_numpy_runs(self, capsys, monkeypatch):
         from repro.cli import main
 
-        assert main(["link", "ofdm-6", "awgn", "20", "--packets", "2",
-                     "--bytes", "20", "--kernels", "numpy"]) == 0
+        assert _under(monkeypatch, "numpy", main,
+                      ["link", "ofdm-6", "awgn", "20", "--packets", "2",
+                       "--bytes", "20"]) == 0
         assert "PER" in capsys.readouterr().out
 
 
@@ -114,26 +103,26 @@ def _random_soft(rng, n_info, rate, terminated=True):
 
 
 class TestNumpyDecoderEquivalence:
-    """kernels_backend="numpy" must be THE decoder, not a sibling."""
+    """REPRO_KERNELS=numpy must be THE decoder, not a sibling."""
 
     @pytest.mark.parametrize("rate", ["1/2", "2/3", "3/4"])
-    def test_viterbi_backend_arg_is_noop(self, rate):
+    def test_viterbi_backend_arg_is_noop(self, rate, monkeypatch):
         rng = np.random.default_rng(5)
         _, soft = _random_soft(rng, 120, rate)
-        assert_array_equal(
-            cc.viterbi_decode(soft, 120, rate=rate),
-            cc.viterbi_decode(soft, 120, rate=rate,
-                              kernels_backend="numpy"))
+        base = cc.viterbi_decode(soft, 120, rate=rate)
+        assert_array_equal(base, _under(monkeypatch, "numpy",
+                                        cc.viterbi_decode, soft, 120,
+                                        rate=rate))
 
-    def test_viterbi_batch_and_env(self):
+    def test_viterbi_batch_and_env(self, monkeypatch):
         rng = np.random.default_rng(6)
         soft = np.stack([_random_soft(rng, 80, "1/2")[1]
                          for _ in range(4)])
         base = cc.viterbi_decode(soft, 80)
-        os.environ["REPRO_KERNELS"] = "numpy"
-        assert_array_equal(base, cc.viterbi_decode(soft, 80))
+        assert_array_equal(base, _under(monkeypatch, "numpy",
+                                        cc.viterbi_decode, soft, 80))
 
-    def test_ldpc_backend_arg_is_noop(self):
+    def test_ldpc_backend_arg_is_noop(self, monkeypatch):
         rng = np.random.default_rng(7)
         code = LdpcCode.from_standard(648, "1/2")
         n_info = int(round(648 * code.rate))
@@ -141,7 +130,7 @@ class TestNumpyDecoderEquivalence:
         llr = (1.0 - 2.0 * code.encode(bits).astype(float)
                + 0.8 * rng.normal(size=648))
         a = code.decode(llr, max_iterations=12)
-        b = code.decode(llr, max_iterations=12, kernels_backend="numpy")
+        b = _under(monkeypatch, "numpy", code.decode, llr, max_iterations=12)
         assert a[1:] == b[1:]
         assert_array_equal(a[0], b[0])
 
@@ -152,37 +141,35 @@ class TestNumbaParity:
 
     @pytest.mark.parametrize("rate", ["1/2", "2/3", "3/4", "5/6"])
     @pytest.mark.parametrize("terminated", [True, False])
-    def test_viterbi_random(self, rate, terminated):
+    def test_viterbi_random(self, rate, terminated, monkeypatch):
         rng = np.random.default_rng(11)
         for n_info in (24, 97, 200):
             _, soft = _random_soft(rng, n_info, rate, terminated)
             assert_array_equal(
-                cc.viterbi_decode(soft, n_info, rate=rate,
-                                  terminated=terminated,
-                                  kernels_backend="numpy"),
-                cc.viterbi_decode(soft, n_info, rate=rate,
-                                  terminated=terminated,
-                                  kernels_backend="numba"))
+                _under(monkeypatch, "numpy", cc.viterbi_decode, soft,
+                       n_info, rate=rate, terminated=terminated),
+                _under(monkeypatch, "numba", cc.viterbi_decode, soft,
+                       n_info, rate=rate, terminated=terminated))
 
-    def test_viterbi_batch(self):
+    def test_viterbi_batch(self, monkeypatch):
         rng = np.random.default_rng(12)
         soft = np.stack([_random_soft(rng, 60, "3/4")[1]
                          for _ in range(5)])
         assert_array_equal(
-            cc.viterbi_decode(soft, 60, rate="3/4",
-                              kernels_backend="numpy"),
-            cc.viterbi_decode(soft, 60, rate="3/4",
-                              kernels_backend="numba"))
+            _under(monkeypatch, "numpy", cc.viterbi_decode, soft, 60,
+                   rate="3/4"),
+            _under(monkeypatch, "numba", cc.viterbi_decode, soft, 60,
+                   rate="3/4"))
 
     @pytest.mark.parametrize("tag,rate", [("12", "1/2"), ("23", "2/3"),
                                           ("34", "3/4"), ("56", "5/6")])
-    def test_viterbi_goldens(self, tag, rate):
+    def test_viterbi_goldens(self, tag, rate, monkeypatch):
         gold = np.load(GOLDENS_PATH)
-        decoded = cc.viterbi_decode(gold[f"cc_soft_{tag}"], 500, rate=rate,
-                                    kernels_backend="numba")
+        decoded = _under(monkeypatch, "numba", cc.viterbi_decode,
+                         gold[f"cc_soft_{tag}"], 500, rate=rate)
         assert_array_equal(decoded, gold[f"cc_dec_{tag}"])
 
-    def test_min_sum_parity(self):
+    def test_min_sum_parity(self, monkeypatch):
         rng = np.random.default_rng(13)
         code = LdpcCode.from_standard(648, "1/2")
         n_info = int(round(648 * code.rate))
@@ -190,28 +177,30 @@ class TestNumbaParity:
             bits = rng.integers(0, 2, n_info).astype(np.uint8)
             llr = (1.0 - 2.0 * code.encode(bits).astype(float)
                    + snr_scale * rng.normal(size=648))
-            a = code.decode(llr, max_iterations=20,
-                            kernels_backend="numpy")
-            b = code.decode(llr, max_iterations=20,
-                            kernels_backend="numba")
+            a = _under(monkeypatch, "numpy", code.decode, llr,
+                       max_iterations=20)
+            b = _under(monkeypatch, "numba", code.decode, llr,
+                       max_iterations=20)
             assert a[1:] == b[1:]
             assert_array_equal(a[0], b[0])
 
-    def test_raw_kernel_parity(self):
+    def test_raw_kernel_parity(self, monkeypatch):
         """Kernel-level parity, decisions and final metrics included."""
         rng = np.random.default_rng(14)
         llr_a = rng.normal(size=(3, 40))
         llr_b = rng.normal(size=(3, 40))
-        d_np, m_np = kernels.viterbi_forward(
-            llr_a, llr_b, cc._SIGN_A, cc._SIGN_B, backend="numpy")
-        d_nb, m_nb = kernels.viterbi_forward(
-            llr_a, llr_b, cc._SIGN_A, cc._SIGN_B, backend="numba")
+        d_np, m_np = _under(monkeypatch, "numpy", kernels.viterbi_forward,
+                            llr_a, llr_b, cc._SIGN_A, cc._SIGN_B)
+        d_nb, m_nb = _under(monkeypatch, "numba", kernels.viterbi_forward,
+                            llr_a, llr_b, cc._SIGN_A, cc._SIGN_B)
         assert_array_equal(d_np, d_nb)
         assert_array_equal(m_np, m_nb)
         start = np.argmax(m_np, axis=1)
         assert_array_equal(
-            kernels.viterbi_traceback(d_np, start, backend="numpy"),
-            kernels.viterbi_traceback(d_np, start, backend="numba"))
+            _under(monkeypatch, "numpy", kernels.viterbi_traceback,
+                   d_np, start),
+            _under(monkeypatch, "numba", kernels.viterbi_traceback,
+                   d_np, start))
 
 
 def _parity(value):
@@ -286,7 +275,9 @@ class TestReferenceDecoder:
     @pytest.mark.parametrize("backend", kernels.available_backends())
     @pytest.mark.parametrize("batch,n_steps", _reference_cases())
     @pytest.mark.parametrize("style", ["soft", "hard"])
-    def test_matches_reference(self, backend, batch, n_steps, style):
+    def test_matches_reference(self, backend, batch, n_steps, style,
+                               monkeypatch):
+        monkeypatch.setenv("REPRO_KERNELS", backend)
         rng = np.random.default_rng([batch, n_steps])
         shape = (batch, n_steps)
         if style == "soft":
@@ -298,13 +289,13 @@ class TestReferenceDecoder:
         llr_b[rng.random(shape) < 0.25] = 0.0
         want_dec, want_metrics = _reference_viterbi(llr_a, llr_b)
         dec, metrics = kernels.viterbi_forward(
-            llr_a, llr_b, cc._SIGN_A, cc._SIGN_B, backend=backend)
+            llr_a, llr_b, cc._SIGN_A, cc._SIGN_B)
         assert_array_equal(dec, want_dec)
         assert_array_equal(metrics, want_metrics)
         for start in (np.zeros(batch, dtype=np.int64),
                       np.argmax(want_metrics, axis=1)):
             assert_array_equal(
-                kernels.viterbi_traceback(dec, start, backend=backend),
+                kernels.viterbi_traceback(dec, start),
                 _reference_traceback(want_dec, start))
 
 

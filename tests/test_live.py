@@ -17,6 +17,7 @@ import pytest
 from repro.campaign import CampaignSpec, ResultsStore, run_campaign
 from repro.campaign.runner import register_point_kind
 from repro.errors import ConfigurationError
+from repro import obs
 from repro.obs import live
 from repro.obs import metrics
 from repro.obs.live import StatusBoard
@@ -76,40 +77,46 @@ class TestRegistry:
         reg = metrics.MetricsRegistry()
         reg.count("trials", 100)
         reg.count("trials", 50)
-        reg.gauge("rate", 3.5)
         reg.observe("wall_s", 0.2)
         snap = reg.snapshot()
         assert snap["counters"] == {"trials": 150}
-        assert snap["gauges"] == {"rate": 3.5}
+        assert "gauges" not in snap
         assert snap["histograms"]["wall_s"]["n"] == 1
 
     def test_merge_snapshots_sums_across_processes(self):
         a, b = metrics.MetricsRegistry(), metrics.MetricsRegistry()
         a.count("trials", 10)
         b.count("trials", 5)
-        a.gauge("rate", 2.0)
-        b.gauge("rate", 3.0)
         a.observe("wall_s", 0.1)
         b.observe("wall_s", 1.0)
         merged = metrics.merge_snapshots([a.snapshot(), b.snapshot(),
                                           None, {}])
         assert merged["counters"] == {"trials": 15}
-        assert merged["gauges"]["rate"] == pytest.approx(5.0)
+        assert "gauges" not in merged
         assert merged["histograms"]["wall_s"]["n"] == 2
 
     def test_module_dispatch_is_noop_without_registry(self):
         assert metrics.current_registry() is None
-        metrics.count("ghost", 5)
-        metrics.gauge("ghost", 1.0)
-        metrics.observe("ghost", 0.5)
+        obs.counter("ghost", 5)
         assert metrics.current_registry() is None
 
     def test_use_registry_scopes_and_restores(self):
         with metrics.use_registry(metrics.MetricsRegistry()) as reg:
-            metrics.count("inside")
-            assert metrics.enabled()
-        assert not metrics.enabled()
+            obs.counter("inside")
+            assert metrics.current_registry() is reg
+        assert metrics.current_registry() is None
         assert reg.snapshot()["counters"] == {"inside": 1}
+
+    def test_one_counter_call_feeds_tracer_and_registry(self):
+        tracer = obs.Tracer()
+        with obs.use_tracer(tracer), \
+                metrics.use_registry(metrics.MetricsRegistry()) as reg:
+            obs.counter("link.packets", 3)
+            obs.counter("mc.trials", 2)
+        assert tracer.summary()["counters"] == {"link.packets": 3,
+                                                "mc.trials": 2}
+        assert reg.snapshot()["counters"] == {"link.packets": 3,
+                                              "mc.trials": 2}
 
     def test_histogram_summary_shape(self):
         reg = metrics.MetricsRegistry()

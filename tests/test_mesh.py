@@ -204,13 +204,18 @@ class TestGraphMatchesAllPairs:
         LinkBudget(fade_margin_db=15.0),
         LinkBudget(breakpoint_m=30.0),
         LinkBudget(fade_margin_db=200.0),  # lowest rung unreachable
-        LinkBudget(path_loss_exponent=0.0),  # every pair a candidate
-    ], ids=["low-tx", "fade-margin", "breakpoint-30m", "unreachable",
-            "flat-loss"])
+    ], ids=["low-tx", "fade-margin", "breakpoint-30m", "unreachable"])
     @pytest.mark.parametrize("standard", ["802.11a", "802.11b"])
     def test_non_default_budgets(self, budget, standard, rng):
         assert_matches_all_pairs(random_positions(80, 150.0, rng),
                                  standard, budget)
+
+    @pytest.mark.parametrize("exponent", [0.0, -1.0])
+    def test_flat_or_rising_loss_budget_rejected(self, exponent):
+        """A budget whose SNR does not fall with distance is refused, so
+        the neighbour search never needs an every-pair fallback for it."""
+        with pytest.raises(ConfigurationError, match="path_loss_exponent"):
+            LinkBudget(path_loss_exponent=exponent)
 
     def test_links_of_an_unreachable_range(self):
         """At 100 MHz the free-space loss is negative below ~0.24 m, so a

@@ -130,9 +130,9 @@ class TestDisabledPath:
         assert with_noop <= baseline * 1.10
 
     def test_disabled_metrics_share_the_overhead_budget(self):
-        """The PR-9 metrics registry rides the same one-branch contract:
+        """The metrics registry rides the same one-branch contract:
         with no registry installed, the engine's per-batch observe and
-        end-of-run count/gauge calls must not slow run_trials."""
+        end-of-run counter calls must not slow run_trials."""
         from repro.obs import metrics
 
         assert metrics.current_registry() is None

@@ -330,6 +330,11 @@ class TestValidateSurface:
         kinds = {c.kind for c in report.checks}
         assert "union-bound" in kinds
         assert report.ok
+        # The check's bound is the link engine's analytic bound, not a
+        # second SNR -> Eb/N0 mapping of its own.
+        bound = LinkSimulator("ofdm-6").analytic_bounds(12.0, 40)["per"]
+        check, = [c for c in report.checks if c.kind == "union-bound"]
+        assert f"vs bound {bound:.4g} " in check.detail
 
 
 class TestMeshWiring:
