@@ -331,20 +331,25 @@ def _call_point(func, params, rng, timeout_s):
     tracer and get merged into the trace as if the campaign were still
     doing work, skewing every per-point aggregate. At the deadline the
     straggler's thread ident is therefore marked abandoned (the tracer
-    drops everything it emits from then on); ``revive_thread`` at
-    thread birth clears any stale suppression when the OS reuses the
-    ident for a later attempt's thread.
+    and the metrics registry drop everything it emits from then on);
+    The thread revives its own ident as its last act, so the abandoned
+    set holds only live stragglers and a later thread that inherits the
+    ident is not muted; ``revive_thread`` at thread birth covers the
+    thread that finished between the liveness check and the abandon.
     """
     if not timeout_s:
         return func(params, rng)
     outcome = {}
 
     def target():
-        obs.revive_thread(threading.get_ident())
+        ident = threading.get_ident()
+        obs.revive_thread(ident)
         try:
             outcome["metrics"] = func(params, rng)
         except BaseException as exc:  # propagated to the caller below
             outcome["exc"] = exc
+        finally:
+            obs.revive_thread(ident)
 
     worker = threading.Thread(target=target, daemon=True,
                               name="campaign-point")

@@ -31,7 +31,8 @@ from repro.obs import live
 from repro.obs.live import STATUS_FILE, StatusBoard
 from repro.obs.metrics import Histogram, MetricsRegistry, merge_snapshots
 from repro.obs.report import (aggregate, summary_table, trace_report_lines)
-from repro.obs.tracer import (NULL_SPAN, NullSpan, Span, StopWatch, Tracer)
+from repro.obs.tracer import (ABANDONED_THREADS, NULL_SPAN, NullSpan, Span,
+                              StopWatch, Tracer)
 from repro.obs.writer import (MERGED_TRACE_FILE, TraceWriter,
                               merge_trace_dir, part_path, read_trace,
                               reset_trace_dir)
@@ -150,11 +151,10 @@ def abandon_thread(ident):
     The campaign runner calls this when it abandons a timed-out point's
     daemon thread: the thread cannot be killed and keeps executing —
     and emitting — but its point is already recorded as ``timeout``, so
-    anything it says from now on would corrupt the trace.
+    anything it says from now on would corrupt the trace and the
+    metrics registry behind ``status.json``. Both drop it.
     """
-    tracer = _TRACER
-    if tracer is not None:
-        tracer.abandon_thread(ident)
+    ABANDONED_THREADS.add(ident)
 
 
 def revive_thread(ident):
@@ -164,6 +164,5 @@ def revive_thread(ident):
     recycled by the OS, so a fresh thread may inherit the suppression
     of an abandoned predecessor with the same ident.
     """
-    tracer = _TRACER
-    if tracer is not None:
-        tracer.revive_thread(ident)
+    if ABANDONED_THREADS:
+        ABANDONED_THREADS.discard(ident)

@@ -43,6 +43,8 @@ import math
 import threading
 from contextlib import contextmanager
 
+from repro.obs.tracer import thread_abandoned
+
 #: Default histogram range: 100 us .. 10^4 s, 4 buckets per decade.
 DEFAULT_LO = 1e-4
 DEFAULT_HI = 1e4
@@ -167,7 +169,8 @@ class Histogram:
 class MetricsRegistry:
     """Thread-safe registry of named counters and histograms.
 
-    All mutation goes through :meth:`count` / :meth:`observe`;
+    All mutation goes through :meth:`count` / :meth:`observe`, both of
+    which drop what an abandoned thread records (as the tracer does);
     :meth:`snapshot` returns a JSON-safe cumulative dict that
     :func:`merge_snapshots` can fold across processes.
     """
@@ -179,12 +182,16 @@ class MetricsRegistry:
 
     def count(self, name, n=1):
         """Add ``n`` to the monotonic counter ``name``."""
+        if thread_abandoned():
+            return
         with self._lock:
             self._counters[name] = self._counters.get(name, 0) + n
 
     def observe(self, name, value, lo=DEFAULT_LO, hi=DEFAULT_HI,
                 per_decade=DEFAULT_PER_DECADE):
         """Record ``value`` into histogram ``name`` (created on first use)."""
+        if thread_abandoned():
+            return
         with self._lock:
             hist = self._histograms.get(name)
             if hist is None:

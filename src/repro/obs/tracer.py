@@ -54,6 +54,21 @@ class NullSpan:
 #: The singleton every disabled-path ``obs.span()`` call returns.
 NULL_SPAN = NullSpan()
 
+#: Idents of threads whose telemetry every store drops (see
+#: :func:`repro.obs.abandon_thread`): timeout threads the campaign runner
+#: abandoned keep executing (and emitting) after their point is already
+#: recorded as ``timeout``, and without suppression those late events
+#: would reach the trace and ``status.json`` as phantom campaign work.
+ABANDONED_THREADS = set()
+
+
+def thread_abandoned():
+    """Truthy when the calling thread's telemetry is being dropped.
+
+    One truth test while no thread is abandoned, the common case.
+    """
+    return ABANDONED_THREADS and threading.get_ident() in ABANDONED_THREADS
+
 
 class Span:
     """One traced interval; use as a context manager.
@@ -142,38 +157,6 @@ class Tracer:
         self._counters = {}
         self._pending = {}
         self._span_stats = {}
-        # Thread idents whose telemetry is dropped: timeout threads the
-        # campaign runner abandoned keep executing (and emitting) after
-        # their point is already recorded as ``timeout`` — without
-        # suppression those late events would merge into the trace as
-        # phantom campaign work.
-        self._abandoned = set()
-
-    # -- abandoned threads ---------------------------------------------------
-    #
-    # The hot-path checks below short-circuit on the empty set (falsy),
-    # so a tracer that never abandons anything pays one truth test.
-
-    def abandon_thread(self, ident):
-        """Drop all telemetry the thread ``ident`` emits from now on."""
-        with self._lock:
-            self._abandoned.add(ident)
-
-    def revive_thread(self, ident):
-        """Clear suppression for ``ident`` (call at thread birth).
-
-        The OS reuses thread idents, so a fresh worker thread must
-        shed any suppression a previously-abandoned thread left on the
-        same ident before it emits anything.
-        """
-        if not self._abandoned:
-            return
-        with self._lock:
-            self._abandoned.discard(ident)
-
-    def _is_abandoned(self):
-        return self._abandoned and \
-            threading.get_ident() in self._abandoned
 
     # -- recording -----------------------------------------------------------
 
@@ -183,7 +166,7 @@ class Tracer:
 
     def counter(self, name, n=1):
         """Add ``n`` to the named counter (thread-safe)."""
-        if self._is_abandoned():
+        if thread_abandoned():
             return
         with self._lock:
             self._counters[name] = self._counters.get(name, 0) + n
@@ -198,7 +181,7 @@ class Tracer:
         flight at once. The event nests under the calling thread's
         current span.
         """
-        if self._is_abandoned():
+        if thread_abandoned():
             return
         stack = self._stack()
         parent = stack[-1].span_id if stack else None
@@ -229,7 +212,7 @@ class Tracer:
         return stack
 
     def _open_span(self, span):
-        if self._is_abandoned():
+        if thread_abandoned():
             span._suppressed = True
             return
         stack = self._stack()
@@ -248,7 +231,7 @@ class Tracer:
             stack.pop()
         elif span in stack:  # exited out of order; drop it and its orphans
             del stack[stack.index(span):]
-        if self._is_abandoned():
+        if thread_abandoned():
             # Opened before the abandonment, closing after: the stack is
             # unwound above but the record is dropped and — critically —
             # the empty-stack flush is NOT triggered, so an abandoned

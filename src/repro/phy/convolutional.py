@@ -15,6 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from repro import obs
 from repro.errors import CodingError, ConfigurationError
 from repro.phy import kernels
 
@@ -278,13 +279,14 @@ def _viterbi_2d(soft, n_info_bits, rate, terminated):
 
     # The ACS sweep and traceback run on the REPRO_KERNELS backend; see
     # repro.phy.kernels for the (bit-identical) implementations.
-    decisions, metrics = kernels.viterbi_forward(llr_a, llr_b,
-                                                 _SIGN_A, _SIGN_B)
-    if terminated:
-        state = np.zeros(batch, dtype=np.int64)
-    else:
-        state = np.argmax(metrics, axis=1)
-    decoded = kernels.viterbi_traceback(decisions, state)
+    with obs.span("phy.viterbi", rows=batch, steps=n_steps):
+        decisions, metrics = kernels.viterbi_forward(llr_a, llr_b,
+                                                     _SIGN_A, _SIGN_B)
+        if terminated:
+            state = np.zeros(batch, dtype=np.int64)
+        else:
+            state = np.argmax(metrics, axis=1)
+        decoded = kernels.viterbi_traceback(decisions, state)
     return decoded[:, :n_info_bits]
 
 

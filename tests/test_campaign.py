@@ -59,6 +59,17 @@ def _late_emitter_point(params, rng):
     return {"late": 0}
 
 
+def _late_counter_point(params, rng):
+    """x == 0 overruns a 0.3 s budget and counts ~0.15 s later, while
+    x == 2 runs (each later point takes 0.1 s)."""
+    if params["x"] == 0:
+        time.sleep(0.45)
+        obs.counter("late.marker")
+        return {"late": 1}
+    time.sleep(0.1)
+    return {"late": 0}
+
+
 def _append_stress_worker(root, backend, name, worker_id, n_records,
                           pad_bytes):
     """Append ``n_records`` oversized records from one child process.
@@ -84,6 +95,8 @@ register_point_kind("test-double", _double_point, code_version="1")
 register_point_kind("test-chaos", _chaos_point, code_version="1")
 register_point_kind("test-flaky", _flaky_counted_point, code_version="1")
 register_point_kind("test-late", _late_emitter_point, code_version="1")
+register_point_kind("test-late-counter", _late_counter_point,
+                    code_version="1")
 
 
 def quick_spec(**overrides):
@@ -803,6 +816,67 @@ class TestAbandonedTimeoutThread:
         assert not [e for e in events if e["name"] == "late.span"]
         counters = result.extras["trace"]["counters"]
         assert "late.marker" not in counters
+
+    def test_late_counter_stays_out_of_status_json(self, tmp_path):
+        """The metrics registry behind status.json drops the straggler's
+        counter too, not only the tracer."""
+        from repro.obs import live
+        spec = CampaignSpec(name="late-status", kind="test-late-counter",
+                            factors={"x": list(range(5))}, base_seed=3,
+                            timeout_s=0.3)
+        store = ResultsStore(tmp_path)
+        result = run_campaign(spec, workers=1, store=store)
+        by_x = {r["params"]["x"]: r for r in result.records}
+        assert by_x[0]["outcome"] == "timeout"
+        assert all(by_x[x]["outcome"] == "ok" for x in range(1, 5))
+        doc = live.read_status(store.status_path("late-status"))
+        assert doc["points"]["done"] == 5
+        assert "late.marker" not in doc["metrics"]["counters"]
+
+    def test_finished_straggler_leaves_no_abandoned_ident(self):
+        """The suppression ends with the straggler: once an abandoned
+        thread returns, its ident may be reused by any later thread."""
+        import threading
+        from repro.campaign.runner import _PointTimeout, _call_point
+        from repro.obs import ABANDONED_THREADS
+
+        def slow(params, rng):
+            time.sleep(0.2)
+            return {}
+
+        before = set(ABANDONED_THREADS)  # live stragglers of other tests
+        with pytest.raises(_PointTimeout):
+            _call_point(slow, {}, None, 0.05)
+        (ident,) = ABANDONED_THREADS - before
+        straggler = next(t for t in threading.enumerate()
+                         if t.ident == ident)
+        straggler.join(5.0)
+        assert not straggler.is_alive()
+        assert ident not in ABANDONED_THREADS
+
+    def test_revived_ident_counts_again(self):
+        """Abandoning drops both stores; reviving the (reused) ident
+        restores both."""
+        import threading
+        from repro.obs import metrics
+        ident = threading.get_ident()
+        registry = metrics.MetricsRegistry()
+        with obs.use_tracer(obs.Tracer()) as tracer, \
+                metrics.use_registry(registry):
+            obs.abandon_thread(ident)
+            try:
+                obs.counter("c")
+                registry.observe("h", 1.0)
+            finally:
+                obs.revive_thread(ident)
+            assert "c" not in registry.snapshot()["counters"]
+            assert "c" not in tracer.summary()["counters"]
+            assert registry.histogram("h") is None
+            obs.counter("c")
+            registry.observe("h", 1.0)
+        assert registry.snapshot()["counters"]["c"] == 1
+        assert tracer.summary()["counters"]["c"] == 1
+        assert registry.histogram("h").n == 1
 
 
 class TestFailureReporting:

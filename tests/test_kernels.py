@@ -252,14 +252,33 @@ def _reference_traceback(decisions, start_states):
     return decoded
 
 
+#: Rows from one to past the widest ``link-grid`` call's 32.
+REFERENCE_BATCHES = (1, 2, 5, 8, 9, 33)
+
+
 def _reference_cases():
-    """(batch, n_steps) pairs around the numpy sweep's chunk boundary."""
+    """(batch, n_steps) pairs around every numpy walk and chunk boundary.
+
+    1 and 8 steps make single-step and single-block walks, 24 is the
+    SIGNAL field. 63-65 straddle the traceback's one and two blocks,
+    127-129 its two and three (64 and 128 tile exactly). The rest
+    straddle the ACS sweep's chunk, and 255-257 and 300 steps span
+    several chunks of the narrow calls.
+    """
     cases = []
-    for batch in (1, 5):
+    for batch in REFERENCE_BATCHES:
         chunk = kernels.acs_chunk(batch)
-        for n_steps in sorted({1, chunk - 1, chunk, chunk + 1, 300} - {0}):
-            cases.append((batch, n_steps))
+        steps = {1, 8, 24, 63, 64, 65, 127, 128, 129,
+                 chunk - 1, chunk, chunk + 1}
+        if batch <= 5:
+            steps |= {255, 256, 257, 300}
+        cases += [(batch, n) for n in sorted(steps - {0})]
     return cases
+
+
+def _reference_starts(batch, metrics):
+    """Both start styles: the terminated (zeros) and the argmax one."""
+    return (np.zeros(batch, dtype=np.int64), np.argmax(metrics, axis=1))
 
 
 class TestReferenceDecoder:
@@ -292,11 +311,45 @@ class TestReferenceDecoder:
             llr_a, llr_b, cc._SIGN_A, cc._SIGN_B)
         assert_array_equal(dec, want_dec)
         assert_array_equal(metrics, want_metrics)
-        for start in (np.zeros(batch, dtype=np.int64),
-                      np.argmax(want_metrics, axis=1)):
+        for start in _reference_starts(batch, want_metrics):
             assert_array_equal(
                 kernels.viterbi_traceback(dec, start),
                 _reference_traceback(want_dec, start))
+
+    @pytest.mark.parametrize("backend", kernels.available_backends())
+    @pytest.mark.parametrize("batch", REFERENCE_BATCHES)
+    @pytest.mark.parametrize("pattern", ["random", "rotate"])
+    def test_long_frame_traceback(self, backend, batch, pattern,
+                                  monkeypatch):
+        """A 12,096-step frame (1500 bytes at 6 Mbps), traceback only.
+
+        Random decisions are what a noise-only frame gives: survivors
+        merge late, so the block walk's guesses often fail and it
+        re-walks. ``rotate`` makes every step a permutation of the
+        states (the odd predecessor wins exactly for states >= 32), so
+        survivors never merge and every guess but a lucky one fails.
+        """
+        monkeypatch.setenv("REPRO_KERNELS", backend)
+        rng = np.random.default_rng([batch, 12096])
+        if pattern == "random":
+            dec = rng.random((12096, batch, 64)) < 0.5
+        else:
+            dec = np.broadcast_to(np.arange(64) >= 32, (12096, batch, 64))
+        start = rng.integers(0, 64, batch)
+        assert_array_equal(kernels.viterbi_traceback(dec, start),
+                           _reference_traceback(dec, start))
+
+    @pytest.mark.parametrize("backend", kernels.available_backends())
+    @pytest.mark.parametrize("rate", sorted(cc.PUNCTURE_PATTERNS))
+    def test_long_frame_round_trip(self, backend, rate, monkeypatch):
+        """Two noiseless 1500-byte frames decode to what was sent."""
+        monkeypatch.setenv("REPRO_KERNELS", backend)
+        rng = np.random.default_rng(1500)
+        bits = rng.integers(0, 2, (2, 8 * 1500)).astype(np.uint8)
+        soft = np.stack([cc.hard_to_soft(cc.encode_punctured(row, rate))
+                         for row in bits])
+        assert_array_equal(cc.viterbi_decode(soft, bits.shape[1], rate=rate),
+                           bits)
 
 
 class TestDecodePlanCache:

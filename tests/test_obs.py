@@ -91,6 +91,32 @@ class TestSpans:
         assert stats["max_s"] == pytest.approx(3.0)
 
 
+class TestLibrarySpans:
+    def test_one_viterbi_span_per_decode_call(self, monkeypatch):
+        """A traced OFDM run shows the decoder's share: one ``phy.viterbi``
+        span per decode call, carrying its row and trellis-step counts."""
+        from repro.core.link import LinkSimulator
+        from repro.phy import kernels
+        calls = []
+        forward = kernels.viterbi_forward
+
+        def counted(llr_a, *args):
+            calls.append(llr_a.shape)
+            return forward(llr_a, *args)
+
+        monkeypatch.setattr(kernels, "viterbi_forward", counted)
+        tracer = obs.Tracer()
+        with obs.use_tracer(tracer):
+            LinkSimulator("ofdm-6", rng=3).run(
+                8, n_packets=6, payload_bytes=50, batch_size=4)
+        spans = [e for e in span_events(tracer.drain())
+                 if e["name"] == "phy.viterbi"]
+        assert len(calls) >= 2
+        assert [(e["attrs"]["rows"], e["attrs"]["steps"])
+                for e in spans] == calls
+        assert {rows for rows, _ in calls} == {4, 2}
+
+
 class TestDisabledPath:
     def test_noop_span_is_shared_and_reentrant(self):
         assert not obs.enabled()
