@@ -6,17 +6,11 @@ records). Result blocks bypass pytest's capture (so they are always
 visible) and are also appended to ``benchmarks/results.txt`` as a durable
 artifact of the last run.
 
-Machine-readable output: run with ``--bench-json PATH`` to also dump a
-JSON document of benchmark metrics — every benchmark's wall-clock
-duration is recorded automatically, and benchmarks that pass
-``metrics=[{"name", "value", "units"}, ...]`` to the ``report`` fixture
-contribute their domain numbers (trial counts, speedups, packets
-saved). This is the seed for the ``BENCH_*.json`` perf trajectory:
-``results.txt`` stays the human view, the JSON is the one tooling
-diffs across commits.
+Each benchmark asserts its own figures: deterministic counts and rates
+exactly, timing ratios against a floor. Absolute speed is measured by
+``perfbench/`` (``BENCHMARK.json``), not here.
 """
 
-import json
 import os
 import sys
 
@@ -25,25 +19,9 @@ import pytest
 _RESULTS_PATH = os.path.join(os.path.dirname(__file__), "results.txt")
 _run_started = False
 
-# Structured metrics accumulated over the session, dumped by
-# pytest_sessionfinish when --bench-json was given.
-_metrics = []
 
-
-def pytest_addoption(parser):
-    parser.addoption(
-        "--bench-json", default=None, metavar="PATH",
-        help="write benchmark metrics (name/metric/value/units) as JSON",
-    )
-
-
-def emit(title, lines, metrics=None):
-    """Print an experiment's result block and log it to results.txt.
-
-    ``metrics`` is an optional list of ``{"name", "value", "units"}``
-    dicts recorded into the ``--bench-json`` document under this
-    benchmark's title.
-    """
+def emit(title, lines):
+    """Print an experiment's result block and log it to results.txt."""
     global _run_started
     out = ["", "=" * 72, title, "-" * 72]
     out.extend(str(line) for line in lines)
@@ -56,37 +34,9 @@ def emit(title, lines, metrics=None):
     _run_started = True
     with open(_RESULTS_PATH, mode) as fh:
         fh.write(text + "\n")
-    for metric in metrics or []:
-        _metrics.append({
-            "benchmark": title,
-            "name": str(metric["name"]),
-            "value": metric["value"],
-            "units": str(metric.get("units", "")),
-        })
 
 
 @pytest.fixture
 def report():
     """Fixture handing benchmarks the emit helper."""
     return emit
-
-
-def pytest_runtest_logreport(report):
-    """Auto-record every benchmark's wall-clock duration."""
-    if report.when == "call" and report.passed:
-        _metrics.append({
-            "benchmark": report.nodeid,
-            "name": "duration",
-            "value": float(report.duration),
-            "units": "s",
-        })
-
-
-def pytest_sessionfinish(session):
-    path = session.config.getoption("--bench-json", default=None)
-    if not path:
-        return
-    document = {"schema": 1, "metrics": _metrics}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(document, fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -44,14 +44,6 @@ def test_bench_campaign_bitwise_and_cache(benchmark, report):
          f"{rerun.n_executed} executed",
          f"serial {serial.wall_time_s:.2f}s vs 4-worker "
          f"{parallel.wall_time_s:.2f}s on {_CPUS} CPU(s)"],
-        metrics=[
-            {"name": "serial_wall", "value": serial.wall_time_s,
-             "units": "s"},
-            {"name": "parallel_wall", "value": parallel.wall_time_s,
-             "units": "s"},
-            {"name": "rerun_cache_hit_rate",
-             "value": rerun.cache_hit_rate, "units": "fraction"},
-        ],
     )
     assert identical
     assert rerun.n_executed == 0
@@ -85,12 +77,10 @@ def test_bench_campaign_parallel_speedup(benchmark, report):
          f"{serial.metrics_by_index() == parallel.metrics_by_index()}",
          "(>=2x expected with >=4 real cores; single-CPU hosts cannot "
          "show wall-clock speedup)"],
-        metrics=[
-            {"name": "serial_wall", "value": t_serial, "units": "s"},
-            {"name": "parallel_wall", "value": t_parallel, "units": "s"},
-            {"name": "speedup", "value": speedup, "units": "x"},
-        ],
     )
     assert serial.metrics_by_index() == parallel.metrics_by_index()
+    # On any host, 4 workers' start-up must not swamp 4 tiny points:
+    # the floor is 0.65x of the 0.17x once measured on a 2-CPU host.
+    assert speedup >= 0.113, f"4 workers took {1 / speedup:.1f}x serial"
     if _CPUS >= 4:
         assert speedup >= 2.0, f"expected >=2x at 4 workers, got {speedup:.2f}x"

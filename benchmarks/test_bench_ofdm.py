@@ -87,15 +87,11 @@ def test_bench_ofdm_batching_speedup(benchmark, report):
         [f"per-packet {t_scalar:.3f} s for the 8-rate x 5-SNR waterfall",
          f"batched    {t_batched:.3f} s  ->  {speedup:.2f}x single-core",
          "PER identical at every grid point (same seed, same draw order)"],
-        metrics=[
-            {"name": "scalar_waterfall", "value": t_scalar, "units": "s"},
-            {"name": "batched_waterfall", "value": t_batched, "units": "s"},
-            {"name": "batching_speedup", "value": speedup, "units": "x"},
-        ],
     )
     assert table_scalar == table_batched
-    # Loose CI floor; locally the batched path runs >5x faster.
-    assert speedup >= 2.0
+    # Floor at 0.65x of the 5.35x once measured single-core; a 2-core
+    # shared host measures 3.3-4.7x.
+    assert speedup >= 3.48
 
 
 def test_bench_ofdm_grid_fast_path(benchmark, report):
@@ -140,18 +136,12 @@ def test_bench_ofdm_grid_fast_path(benchmark, report):
          f"grid       {t_grid:.3f} s  ->  {speedup:.2f}x single-core",
          f"{n_analytic}/{len(flat)} cells settled by the union bound "
          f"(floor 1e-6), {n_mc} ran Monte Carlo"],
-        metrics=[
-            {"name": "pointwise_waterfall", "value": t_point, "units": "s"},
-            {"name": "grid_waterfall", "value": t_grid, "units": "s"},
-            {"name": "grid_speedup", "value": speedup, "units": "x"},
-            {"name": "analytic_points", "value": n_analytic,
-             "units": "points"},
-            {"name": "mc_points", "value": n_mc, "units": "points"},
-        ],
     )
     # The analytic cells really are below the floor, and the knee is
     # still simulated: the bound never silently replaces a lossy cell.
     assert all(r.per <= 1e-6 for r in flat if r.analytic)
-    assert n_mc > 0
-    # Loose CI floor; locally the grid runs >4x faster (BENCH_10.json).
+    # The split is deterministic: it moves only when the bound does.
+    assert n_analytic == 31
+    assert n_mc == 9
+    # Floor well under the 4.4x measured single-core.
     assert speedup >= 3.0

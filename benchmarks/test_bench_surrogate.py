@@ -66,17 +66,13 @@ def test_bench_surrogate_mesh(benchmark, report):
         f"surrogate cost: {t_mesh:8.2f} s total ({rate:,.0f} packets/s)",
         f"speedup vs waveform path: {speedup:,.0f}x",
     ]
-    report("E24: 1000-station mesh off a PER surface", lines, metrics=[
-        {"name": "waveform_us_per_packet", "value": 1e6 * t_packet,
-         "units": "us"},
-        {"name": "surrogate_packets_per_s", "value": rate, "units": "1/s"},
-        {"name": "surrogate_wall", "value": t_mesh, "units": "s"},
-        {"name": "speedup_vs_waveform", "value": speedup, "units": "x"},
-        {"name": "coverage_fraction", "value": frac, "units": "fraction"},
-    ])
-    # The acceptance bar: the surrogate must beat the waveform path by
-    # >= 100x at equal packet counts. Measured margin is far larger.
-    assert speedup >= 100.0
-    assert 0.0 < frac < 1.0  # percolation region, not a trivial grid
+    report("E24: 1000-station mesh off a PER surface", lines)
+    # The surrogate must beat the waveform path at equal packet counts
+    # by far more than the 100x acceptance bar: the floor is 0.65x of
+    # the 2506x measured single-core.
+    assert speedup >= 1630.0
+    # Seeded: 77.3% coverage, in the percolation region, not a trivial
+    # grid.
+    assert (result.n_events, result.n_trials) == (30920, N_SAMPLES)
     benchmark.extra_info["speedup"] = round(speedup)
     benchmark.extra_info["coverage"] = round(frac, 3)

@@ -36,16 +36,11 @@ def test_bench_vht_waterfall(benchmark, report):
     report(
         "E25a: 802.11ac VHT PER waterfalls, BPSK to 256-QAM on 80 MHz",
         lines,
-        metrics=[
-            {"name": "vht80_mcs9_rate", "value": rates["vht80-9"],
-             "units": "Mbps"},
-            {"name": "vht80_mcs9_per_40db", "value": table["vht80-9"][-1],
-             "units": "PER"},
-        ],
     )
+    assert rates["vht80-9"] == 390.0
     # BPSK decodes everywhere on this grid; 256-QAM needs the high end.
     assert table["vht80-0"][-1] == 0.0
-    assert table["vht80-9"][-1] <= 0.2
+    assert table["vht80-9"][-1] == 0.0
     assert table["vht80-9"][0] >= table["vht80-0"][0]
 
 
@@ -67,9 +62,8 @@ def test_bench_vht_wide_channel_ladder(benchmark, report):
              for name, (rate, per) in out.items()]
     lines.append("doubling the channel doubles the rate; x8 streams and "
                  "short GI reach 6933 Mbps")
-    report("E25b: VHT wide-channel ladder, 256-QAM", lines,
-           metrics=[{"name": "vht160_mcs9_rate",
-                     "value": out["vht160-9"][0], "units": "Mbps"}])
+    report("E25b: VHT wide-channel ladder, 256-QAM", lines)
+    assert out["vht160-9"][0] == 780.0
     widths = [out[n][0] for n in ("vht-8", "vht40-9", "vht80-9",
                                   "vht160-9")]
     assert all(b > 1.9 * a for a, b in zip(widths, widths[1:]))

@@ -16,6 +16,7 @@ import numpy as np
 
 from repro.analysis.ber_theory import q_function
 from repro.errors import ConfigurationError
+from repro.phy.convolutional import CODE_RATES, free_distance
 
 #: Information-bit weight spectrum B_d of the K=7 (133, 171) mother code,
 #: first terms from the literature (d_free = 10).
@@ -25,8 +26,6 @@ WEIGHT_SPECTRUM = {
     "2/3": {6: 3, 7: 70, 8: 285, 9: 1276, 10: 6160},
     "3/4": {5: 42, 6: 201, 7: 1492, 8: 10469, 9: 62935},
 }
-
-CODE_RATE_VALUES = {"1/2": 0.5, "2/3": 2.0 / 3.0, "3/4": 0.75}
 
 
 def union_bound_ber(ebn0_db, rate="1/2"):
@@ -40,7 +39,7 @@ def union_bound_ber(ebn0_db, rate="1/2"):
             f"{sorted(WEIGHT_SPECTRUM)}"
         )
     ebn0 = 10.0 ** (np.asarray(ebn0_db, dtype=float) / 10.0)
-    r = CODE_RATE_VALUES[rate]
+    r = CODE_RATES[rate]
     total = np.zeros_like(np.asarray(ebn0, dtype=float))
     for d, b_d in WEIGHT_SPECTRUM[rate].items():
         total = total + b_d * q_function(np.sqrt(2.0 * d * r * ebn0))
@@ -65,9 +64,5 @@ def union_bound_per(ebn0_db, n_bits, rate="1/2"):
 
 def coding_gain_db(rate="1/2", target_ber=1e-5):
     """Asymptotic soft-decision coding gain: 10 log10(R * d_free)."""
-    from repro.phy.convolutional import free_distance
-
-    r = CODE_RATE_VALUES.get(rate)
-    if r is None:
-        raise ConfigurationError(f"unknown rate {rate!r}")
-    return float(10.0 * np.log10(r * free_distance(rate)))
+    d_free = free_distance(rate)  # raises on an unknown rate
+    return float(10.0 * np.log10(CODE_RATES[rate] * d_free))

@@ -35,10 +35,6 @@ campaign run|resume|watch|ls|show|report
     ``campaign watch NAME`` tails it with a refreshing progress view
     (``--once --json`` for scripting), ``--heartbeat`` tunes the
     cadence.
-bench diff BASELINE CURRENT
-    Compare two ``--bench-json`` benchmark dumps metric by metric
-    against per-metric tolerances; exits nonzero on a regression in a
-    machine-independent (ratio/count) metric — the CI perf gate.
 trace report NAME
     Render a traced campaign's telemetry: per-point timing breakdown,
     MC trial throughput, slowest spans, cache/retry counters.
@@ -265,25 +261,6 @@ def _cmd_campaign_watch(args):
     except KeyboardInterrupt:
         print()
         return 130
-
-
-def _cmd_bench(args):
-    import json as json_module
-
-    from repro.obs import bench
-
-    report = bench.diff_benches(
-        bench.load_bench(args.baseline),
-        bench.load_bench(args.current),
-        tol_overrides=bench.parse_tol_overrides(args.tol),
-        gate_all=args.gate_all)
-    if args.json:
-        print(json_module.dumps(report, indent=2, sort_keys=True))
-        return 0 if report["ok"] else 1
-    print(f"bench diff: {args.baseline} (baseline) vs {args.current}")
-    for line in bench.diff_lines(report, verbose=args.verbose):
-        print(line)
-    return 0 if report["ok"] else 1
 
 
 def _cmd_campaign(args):
@@ -739,31 +716,6 @@ def build_parser():
                         help="how many slowest spans to list (default 10)")
     add_results_arg(p_trep)
 
-    p_bench = sub.add_parser(
-        "bench", help="benchmark dump tooling (perf-regression gate)")
-    bench_sub = p_bench.add_subparsers(dest="subcommand", required=True)
-    p_bdiff = bench_sub.add_parser(
-        "diff", help="compare two --bench-json dumps metric by metric")
-    p_bdiff.add_argument("baseline",
-                         help="committed baseline dump, e.g. BENCH_10.json")
-    p_bdiff.add_argument("current",
-                         help="fresh dump from 'pytest benchmarks/ "
-                              "--benchmark-only --bench-json PATH'")
-    p_bdiff.add_argument("--tol", action="append", default=None,
-                         metavar="NAME=REL",
-                         help="per-metric relative tolerance override "
-                              "(NAME matches the metric id or a suffix); "
-                              "repeatable")
-    p_bdiff.add_argument("--gate-all", action="store_true",
-                         help="also gate machine-dependent duration "
-                              "metrics (off by default: CI machines "
-                              "differ from baseline machines)")
-    p_bdiff.add_argument("--verbose", action="store_true",
-                         help="list every compared metric, not just "
-                              "regressions")
-    p_bdiff.add_argument("--json", action="store_true",
-                         help="emit the full diff report as JSON")
-
     p_rates = sub.add_parser("rates", help="dump a rate table")
     p_rates.add_argument("standard", nargs="?", default="802.11a",
                          choices=sorted(GENERATIONS))
@@ -779,7 +731,6 @@ _HANDLERS = {
     "campaign": _cmd_campaign,
     "surface": _cmd_surface,
     "trace": _cmd_trace,
-    "bench": _cmd_bench,
     "rates": _cmd_rates,
 }
 

@@ -195,64 +195,3 @@ class TestWatchCli:
                      "--results", str(tmp_path)])
         assert code == 2
         assert "error:" in capsys.readouterr().err
-
-
-class TestBenchCli:
-    def _dump(self, path, rows):
-        import json
-
-        path.write_text(json.dumps({
-            "schema": 1,
-            "metrics": [dict(zip(("benchmark", "name", "value", "units"),
-                                 row)) for row in rows]}))
-        return str(path)
-
-    def test_identical_dumps_pass(self, tmp_path, capsys):
-        rows = [("b1", "speedup", 6.0, "x"), ("b1", "duration", 1.0, "s")]
-        a = self._dump(tmp_path / "a.json", rows)
-        assert main(["bench", "diff", a, a]) == 0
-        out = capsys.readouterr().out
-        assert "OK:" in out and "0 regression(s)" in out
-
-    def test_ratio_regression_fails_but_slower_seconds_do_not(
-            self, tmp_path, capsys):
-        base = self._dump(tmp_path / "a.json",
-                          [("b1", "speedup", 6.0, "x"),
-                           ("b1", "duration", 1.0, "s")])
-        cur = self._dump(tmp_path / "b.json",
-                         [("b1", "speedup", 2.0, "x"),      # regressed
-                          ("b1", "duration", 10.0, "s")])   # informational
-        assert main(["bench", "diff", base, cur]) == 1
-        out = capsys.readouterr().out
-        assert "REGRESSED" in out and "speedup" in out
-        assert "1 regression(s)" in out
-
-    def test_improvement_never_regresses(self, tmp_path, capsys):
-        base = self._dump(tmp_path / "a.json", [("b1", "speedup", 6.0, "x")])
-        cur = self._dump(tmp_path / "b.json", [("b1", "speedup", 60.0, "x")])
-        assert main(["bench", "diff", base, cur]) == 0
-        capsys.readouterr()
-
-    def test_tol_override_loosens_the_gate(self, tmp_path, capsys):
-        base = self._dump(tmp_path / "a.json", [("b1", "speedup", 6.0, "x")])
-        cur = self._dump(tmp_path / "b.json", [("b1", "speedup", 3.0, "x")])
-        assert main(["bench", "diff", base, cur]) == 1
-        capsys.readouterr()
-        assert main(["bench", "diff", base, cur,
-                     "--tol", "b1::speedup=0.9"]) == 0
-        capsys.readouterr()
-
-    def test_json_report_shape(self, tmp_path, capsys):
-        import json
-
-        rows = [("b1", "per", 0.2, "fraction")]
-        a = self._dump(tmp_path / "a.json", rows)
-        assert main(["bench", "diff", a, a, "--json"]) == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["ok"] and report["n_compared"] == 1
-        assert report["rows"][0]["status"] == "ok"
-
-    def test_missing_dump_is_clean_error(self, tmp_path, capsys):
-        a = self._dump(tmp_path / "a.json", [("b1", "x", 1.0, "x")])
-        assert main(["bench", "diff", a, str(tmp_path / "nope.json")]) == 2
-        assert "error:" in capsys.readouterr().err

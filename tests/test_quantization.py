@@ -115,6 +115,10 @@ class TestUnionBound:
     def test_asymptotic_gain_values(self):
         assert coding_gain_db("1/2") == pytest.approx(7.0, abs=0.1)
         assert coding_gain_db("3/4") == pytest.approx(5.7, abs=0.2)
+        # 5/6 (HT/VHT) has d_free 4 but no spectrum table: the gain is
+        # defined, the union bound is not.
+        assert coding_gain_db("5/6") == pytest.approx(
+            10 * np.log10(4 * 5 / 6))
 
     def test_unknown_rate_rejected(self):
         with pytest.raises(ConfigurationError):
