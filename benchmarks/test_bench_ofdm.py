@@ -74,9 +74,12 @@ def test_bench_ofdm_batching_speedup(benchmark, report):
     _waterfall_timed(True)  # warm the cached kernels before timing
 
     def both():
-        t_scalar, table_scalar = _waterfall_timed(False)
-        t_batched, table_batched = _waterfall_timed(True)
-        return t_scalar, t_batched, table_scalar, table_batched
+        # Best of three per side, so machine jitter does not masquerade
+        # as a speedup change.
+        scalar = [_waterfall_timed(False) for _ in range(3)]
+        batched = [_waterfall_timed(True) for _ in range(3)]
+        return (min(t for t, _ in scalar), min(t for t, _ in batched),
+                scalar[0][1], batched[0][1])
 
     t_scalar, t_batched, table_scalar, table_batched = benchmark.pedantic(
         both, rounds=1, iterations=1
@@ -90,7 +93,7 @@ def test_bench_ofdm_batching_speedup(benchmark, report):
     )
     assert table_scalar == table_batched
     # Floor at 0.65x of the 5.35x once measured single-core; a 2-core
-    # shared host measures 3.3-4.7x.
+    # shared host measures 3.3-4.7x from one timing per side.
     assert speedup >= 3.48
 
 

@@ -30,11 +30,15 @@ from __future__ import annotations
 import json
 import os
 import sqlite3
+import time
 
 from repro.campaign.store import (SPEC_FILE, ResultsStore, encode_record)
 from repro.errors import ConfigurationError
 
 DB_FILE = "records.sqlite"
+
+#: Seconds a connection waits on another writer's lock.
+BUSY_TIMEOUT_S = 30.0
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS records (
@@ -65,14 +69,27 @@ class SqliteResultsStore(ResultsStore):
         if conn is not None:
             return conn
         os.makedirs(self.campaign_dir(name), exist_ok=True)
-        conn = sqlite3.connect(self._db_path(name), timeout=30.0)
-        # WAL keeps readers unblocked during appends and makes each
-        # committed transaction the crash-safety unit; NORMAL sync is
-        # safe with WAL (a crash can lose the last commit, never
-        # corrupt the database — resume recomputes the difference).
-        conn.execute("PRAGMA journal_mode=WAL")
-        conn.execute("PRAGMA synchronous=NORMAL")
-        conn.executescript(_SCHEMA)
+        conn = sqlite3.connect(self._db_path(name), timeout=BUSY_TIMEOUT_S)
+        # Processes opening a new database together can get "database is
+        # locked" at once from the set-up below: SQLite skips the busy
+        # handler where waiting could deadlock. Retry until the timeout.
+        deadline = time.monotonic() + BUSY_TIMEOUT_S
+        while True:
+            try:
+                # WAL keeps readers unblocked during appends and makes
+                # each committed transaction the crash-safety unit;
+                # NORMAL sync is safe with WAL (a crash can lose the
+                # last commit, never corrupt the database — resume
+                # recomputes the difference).
+                conn.execute("PRAGMA journal_mode=WAL")
+                conn.execute("PRAGMA synchronous=NORMAL")
+                conn.executescript(_SCHEMA)
+                break
+            except sqlite3.OperationalError as exc:
+                if "locked" not in str(exc) or time.monotonic() > deadline:
+                    conn.close()
+                    raise
+                time.sleep(0.01)
         self._connections[name] = conn
         return conn
 

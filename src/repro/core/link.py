@@ -24,6 +24,7 @@ received signal power per RX antenna over complex noise variance.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -370,12 +371,13 @@ class LinkSimulator:
         ``result.mc`` records which.
 
         ``vectorized`` selects the batched PHY path (default: on for
-        OFDM PHYs, which support it): the point runs as a one-column
-        grid of :func:`run_grid_trials`, each batch of packets one
-        transmit/receive invocation. Draws come from ``self.rng`` in
-        the per-packet order (:class:`SerialDraws`), so results are
-        bit-identical either way. Pass ``False`` to force the
-        per-packet loop.
+        OFDM and HT/VHT PHYs, which support it): the point runs as a
+        one-column grid of :func:`run_grid_trials`, each batch of
+        packets one transmit/receive invocation — for HT/VHT one
+        stacked MIMO detection and one trellis sweep. Draws come from
+        ``self.rng`` in the per-packet order (:class:`SerialDraws`), so
+        results are bit-identical either way. Pass ``False`` to force
+        the per-packet loop.
 
         ``analytic_floor`` enables the analytic fast path: when the
         union-bound PER at this point is at or below the floor, no
@@ -393,8 +395,8 @@ class LinkSimulator:
             mc = analytic_result(bounds["per"], target="packet_error",
                                  confidence=confidence)
             return self._result(snr_db, payload_bytes, mc, bounds, floor)
-        vectorized = self._kind == "ofdm" and (vectorized is None
-                                               or bool(vectorized))
+        vectorized = self._kind in ("ofdm", "ht") and (vectorized is None
+                                                       or bool(vectorized))
 
         def trial(rng):
             payload = _random_payload(rng, payload_bytes)
@@ -497,7 +499,7 @@ class LinkSimulator:
         return 0.5 * (lo + hi)
 
 
-# -- the OFDM grid engine ----------------------------------------------------
+# -- the grid engine (OFDM and HT/VHT) ---------------------------------------
 
 #: Most rows x trellis steps one grid ``receive_batch`` call decodes. A
 #: rate's SNR columns are stacked into one call up to this budget, so the
@@ -576,43 +578,51 @@ class SerialDraws:
 
     Each packet consumes ``sim.rng`` in the per-packet loop's order:
     payload bytes, then the channel realisation, then the noise normals
-    (noise is scaled after drawing, so it can be drawn before the
-    transmit power is known). A batched run therefore leaves the
-    generator, and every count, as the per-packet loop does.
+    — real block, then imaginary block, over the PHY's receive shape, as
+    :func:`~repro.channel.awgn.awgn_noise` draws them (noise is scaled
+    after drawing, so it can be drawn before the transmit power is
+    known). A batched run therefore leaves the generator, and every
+    count, as the per-packet loop does.
     """
 
     def __init__(self, sim):
         self.sim = sim
+        # OFDM waveforms are 1-D; HT/VHT ones are (n_rx, n) per packet.
+        self.lead = () if sim._kind == "ofdm" else (sim.n_rx,)
 
     def draw(self, lo, hi, payload_bytes, n_samples):
         """``(payloads, propagate, noise)`` for the next ``hi - lo`` packets.
 
         ``propagate`` applies each packet's own channel realisation to
-        its row of an ``(m, n)`` transmit batch.
+        its row of a ``(m, [n_tx,] n)`` transmit batch.
         """
         rng = self.sim.rng
+        shape = self.lead + (n_samples,)
         payloads, channels = [], []
-        noise = np.empty((hi - lo, n_samples), dtype=np.complex128)
+        noise = np.empty((hi - lo,) + shape, dtype=np.complex128)
         for i in range(hi - lo):
             payloads.append(_random_payload(rng, payload_bytes))
             channels.append(self.sim._draw_channel(rng))
-            noise[i] = (rng.normal(size=n_samples)
-                        + 1j * rng.normal(size=n_samples))
+            noise[i] = rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
         def propagate(tx):
-            return np.stack([channel(row[None, :])[0]
-                             for channel, row in zip(channels, tx)])
+            rx = np.stack([channel(np.atleast_2d(row))
+                           for channel, row in zip(channels, tx)])
+            return rx.reshape(noise.shape[:-1] + (tx.shape[-1],))
         return payloads, propagate, noise
 
 
 def _grid_fn(sims, snr_lin, payload_bytes, source):
-    """The :func:`run_grid_trials` trial function of an OFDM grid.
+    """The :func:`run_grid_trials` trial function of an OFDM or HT grid.
 
     Column ``p * len(snr_lin) + s`` is PHY ``sims[p]`` at linear SNR
     ``snr_lin[s]``. Each call draws its trials once from ``source`` (a
     :class:`TrialSubstreams` or :class:`SerialDraws`), transmits them
     once per PHY, and decodes a PHY's SNR columns stacked in one
-    receive call as far as :data:`GRID_ROW_STEPS` allows.
+    receive call as far as :data:`GRID_ROW_STEPS` allows. An HT/VHT
+    packet is an ``(n_tx, n)`` transmit row and an ``(n_rx, n)``
+    receive row. A packet's noise power is the per-packet loop's
+    ``mean |tx|^2 * n_tx``.
     """
     n_snr = len(snr_lin)
     lengths = [sim._phy.n_samples(payload_bytes) for sim in sims]
@@ -630,24 +640,36 @@ def _grid_fn(sims, snr_lin, payload_bytes, source):
         for p, cols in sorted(by_phy.items()):
             phy = sims[p]._phy
             n = lengths[p]
-            tx = phy.transmit_batch(payloads)  # (m, n), shared by SNRs
-            power = np.mean(np.abs(tx) ** 2, axis=1)
+            tx = phy.transmit_batch(payloads)  # (m, [n_tx,] n), shared by SNRs
+            # One whole-packet mean per row, as the per-packet loop takes
+            # it: an axis reduction over (n_tx, n) may sum in another order.
+            power = np.array([np.mean(np.abs(row) ** 2) for row in tx]) \
+                * sims[p].n_tx
+            if sims[p]._kind == "ofdm":
+                n_dbps = phy.rate.n_dbps
+                receive = phy.receive_batch
+            else:
+                n_dbps = phy.n_dbps
+                receive = functools.partial(phy.receive_batch,
+                                            psdu_bytes=payload_bytes)
             rx_clean = propagate(tx)
             # Every row decodes independently, so the rate's SNR columns
-            # share one receive call (one SIGNAL and one data trellis
+            # share one receive call (one detection and one data trellis
             # sweep) as far as the row budget allows.
-            steps = phy.n_symbols(payload_bytes) * phy.rate.n_dbps
+            steps = phy.n_symbols(payload_bytes) * n_dbps
             per_call = max(1, GRID_ROW_STEPS // (m * steps))
             for first in range(0, len(cols), per_call):
                 block = cols[first:first + per_call]
                 noise_var = np.empty(len(block) * m)
-                rx = np.empty((len(block) * m, n), dtype=np.complex128)
+                rx = np.empty((len(block) * m,) + rx_clean.shape[1:],
+                              dtype=np.complex128)
                 for j, (_, s) in enumerate(block):
                     rows = slice(j * m, (j + 1) * m)
                     noise_var[rows] = power / snr_lin[s]
-                    rx[rows] = (rx_clean + np.sqrt(noise_var[rows] / 2.0)
-                                [:, None] * noise[:, :n])
-                psdus = phy.receive_batch(rx, noise_var)
+                    scale = np.sqrt(noise_var[rows] / 2.0)
+                    rx[rows] = (rx_clean + scale.reshape(
+                        (m,) + (1,) * (rx_clean.ndim - 1)) * noise[..., :n])
+                psdus = receive(rx, noise_var)
                 for j, (k, _) in enumerate(block):
                     for payload, got in zip(payloads,
                                             psdus[j * m:(j + 1) * m]):

@@ -8,7 +8,11 @@ automatically).
 
 All detectors return per-stream symbol estimates (Nt, T) plus the
 post-detection SINR of each stream, so soft demappers can weight their
-LLRs correctly.
+LLRs correctly. The linear detectors also take stacks: ``h`` of shape
+``(..., Nr, Nt)`` with ``y`` of shape ``(..., Nr, T)`` and ``noise_var``
+a scalar or one value per matrix (shape ``(...)``) detect every matrix
+in a handful of stacked numpy calls. A 2-D call is a stack of one, and
+each matrix of a stack comes out bit-for-bit as its own 2-D call would.
 """
 
 from __future__ import annotations
@@ -23,11 +27,22 @@ from repro.errors import ConfigurationError, DemodulationError
 def _check_shapes(y, h):
     y = np.atleast_2d(np.asarray(y, dtype=np.complex128))
     h = np.atleast_2d(np.asarray(h, dtype=np.complex128))
-    if y.shape[0] != h.shape[0]:
+    if y.shape[-2] != h.shape[-2]:
         raise DemodulationError(
-            f"receive dim {y.shape[0]} does not match channel rows {h.shape[0]}"
+            f"receive dim {y.shape[-2]} does not match channel rows "
+            f"{h.shape[-2]}"
         )
     return y, h
+
+
+def _hermitian(a):
+    """Conjugate transpose of every matrix in a ``(..., m, n)`` stack."""
+    return np.conj(a).swapaxes(-1, -2)
+
+
+def _diagonal(a):
+    """Real part of the diagonal of every matrix in a stack."""
+    return np.real(np.diagonal(a, axis1=-2, axis2=-1))
 
 
 def detect_zero_forcing(y, h, noise_var):
@@ -35,24 +50,29 @@ def detect_zero_forcing(y, h, noise_var):
 
     Returns
     -------
-    (estimates, post_sinr) : ((Nt, T) array, (Nt,) array)
+    (estimates, post_sinr) : ((..., Nt, T) array, (..., Nt) array)
         ``post_sinr`` is the per-stream SNR after ZF:
         ``1 / (noise_var * [(H^H H)^-1]_kk)``.
+
+    Raises
+    ------
+    DemodulationError
+        When any matrix of the stack is singular.
     """
     y, h = _check_shapes(y, h)
-    nt = h.shape[1]
-    if h.shape[0] < nt:
+    nt = h.shape[-1]
+    if h.shape[-2] < nt:
         raise ConfigurationError(
-            f"zero forcing needs Nr >= Nt, got {h.shape[0]} < {nt}"
+            f"zero forcing needs Nr >= Nt, got {h.shape[-2]} < {nt}"
         )
-    gram = h.conj().T @ h
+    h_h = _hermitian(h)
     try:
-        gram_inv = np.linalg.inv(gram)
+        gram_inv = np.linalg.inv(h_h @ h)
     except np.linalg.LinAlgError as exc:
         raise DemodulationError("channel is rank deficient for ZF") from exc
-    w = gram_inv @ h.conj().T
-    estimates = w @ y
-    noise_amp = np.real(np.diag(gram_inv))
+    estimates = (gram_inv @ h_h) @ y
+    noise_amp = _diagonal(gram_inv)
+    noise_var = np.asarray(noise_var, dtype=float)[..., None]
     post_sinr = 1.0 / np.maximum(noise_var * noise_amp, 1e-30)
     return estimates, post_sinr
 
@@ -64,18 +84,25 @@ def detect_mmse(y, h, noise_var):
     bias-corrected so constellation decisions can be applied directly.
     Post-detection SINR comes from the error covariance
     ``E = (I + H^H H / sigma^2)^-1`` as ``1/E_kk - 1``.
+
+    Raises
+    ------
+    DemodulationError
+        When the filter of any matrix in the stack collapses.
     """
     y, h = _check_shapes(y, h)
-    nt = h.shape[1]
-    noise_var = max(float(noise_var), 1e-30)
-    gram = h.conj().T @ h
-    w = np.linalg.inv(gram + noise_var * np.eye(nt)) @ h.conj().T
-    wh_diag = np.real(np.diag(w @ h))
+    eye = np.eye(h.shape[-1])
+    noise_var = np.maximum(np.asarray(noise_var, dtype=float),
+                           1e-30)[..., None, None]
+    h_h = _hermitian(h)
+    gram = h_h @ h
+    w = np.linalg.inv(gram + noise_var * eye) @ h_h
+    wh_diag = _diagonal(w @ h)
     if np.any(wh_diag <= 1e-15):
         raise DemodulationError("MMSE filter collapsed (diagonal ~ 0)")
-    estimates = (w @ y) / wh_diag[:, None]
-    error_cov = np.linalg.inv(np.eye(nt) + gram / noise_var)
-    e_kk = np.clip(np.real(np.diag(error_cov)), 1e-12, 1.0 - 1e-12)
+    estimates = (w @ y) / wh_diag[..., None]
+    error_cov = np.linalg.inv(eye + gram / noise_var)
+    e_kk = np.clip(_diagonal(error_cov), 1e-12, 1.0 - 1e-12)
     post_sinr = 1.0 / e_kk - 1.0
     return estimates, post_sinr
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro import obs
 from repro.errors import ConfigurationError, DemodulationError
 from repro.phy import convolutional as cc
 from repro.phy.interleaver import ht_deinterleave, ht_interleave
@@ -138,6 +139,8 @@ class HtPhy:
         self._data_bins = np.array([k % self.fft_size for k in self.data_indices])
         self._pilot_bins = np.array([k % self.fft_size for k in self.pilot_indices])
         self._used_bins = np.array([k % self.fft_size for k in used])
+        used_pos = {b: i for i, b in enumerate(self._used_bins)}
+        self._data_rows = np.array([used_pos[b] for b in self._data_bins])
         # LTF values: reuse the legacy +/-1 pattern extended cyclically.
         rng = np.random.default_rng(0x11AC)
         self._ltf_freq = 1.0 - 2.0 * rng.integers(0, 2, self.n_used).astype(float)
@@ -238,14 +241,14 @@ class HtPhy:
         return streams
 
     def _deparse_streams(self, streams):
-        """Inverse of :meth:`_parse_streams` (operates on soft values too)."""
+        """Inverse of :meth:`_parse_streams` (operates on soft values too).
+
+        Takes ``(..., n_ss, n)`` streams and returns ``(..., n_ss * n)``.
+        """
         s = max(self.mcs.bits_per_subcarrier // 2, 1)
-        n_groups_per_stream = streams.shape[1] // s
-        out = np.empty(streams.size, dtype=streams.dtype)
-        groups = out.reshape(-1, s)
-        for k in range(self.n_ss):
-            groups[k :: self.n_ss] = streams[k].reshape(n_groups_per_stream, s)
-        return out
+        lead = streams.shape[:-2]
+        groups = streams.reshape(lead + (self.n_ss, -1, s))
+        return np.swapaxes(groups, -3, -2).reshape(lead + (-1,))
 
     # -- TX -------------------------------------------------------------------
 
@@ -293,6 +296,14 @@ class HtPhy:
         ).reshape(n_out, n_sym * self.symbol_samples)
         return np.concatenate([self._ltf_symbols(precoders), data], axis=1)
 
+    def transmit_batch(self, psdus):
+        """Build the waveforms for a non-empty batch of equal-length PSDUs.
+
+        Returns a ``(batch, n_tx, n_samples)`` array whose row ``i`` is
+        exactly ``transmit(psdus[i])``.
+        """
+        return np.stack([self.transmit(p) for p in psdus])
+
     # -- RX -------------------------------------------------------------------
 
     def estimate_channel(self, ltf_block):
@@ -300,23 +311,25 @@ class HtPhy:
 
         Parameters
         ----------
-        ltf_block : array (n_rx, n_ltf * symbol_samples)
+        ltf_block : array (..., n_rx, n_ltf * symbol_samples)
+            One receive burst's training block, or a stack of them.
 
         Returns
         -------
-        numpy.ndarray of shape (n_used, n_rx, n_ss)
+        numpy.ndarray of shape (..., n_used, n_rx, n_ss)
         """
         ltf_block = np.atleast_2d(ltf_block)
-        # FFT all (rx, ltf) symbols at once: (n_rx, n_ltf, fft_size).
-        body = ltf_block[:, : self._n_ltf * self.symbol_samples].reshape(
-            self.n_rx, self._n_ltf, self.symbol_samples
-        )[:, :, self.cp :]
+        lead = ltf_block.shape[:-2]
+        # FFT all (rx, ltf) symbols at once: (..., n_rx, n_ltf, fft_size).
+        body = ltf_block[..., : self._n_ltf * self.symbol_samples].reshape(
+            lead + (self.n_rx, self._n_ltf, self.symbol_samples)
+        )[..., self.cp :]
         freq = self._time_to_freq(body)
-        obs = np.transpose(
-            freq[:, :, self._used_bins] / self._ltf_freq, (2, 0, 1)
-        )  # (n_used, n_rx, n_ltf)
-        # obs = H_eff * P  (per subcarrier);  P P^H = n_ltf I
-        h = obs @ self._p.T.conj() / self._n_ltf  # (n_used, n_rx, n_ss)
+        seen = np.moveaxis(
+            freq[..., self._used_bins] / self._ltf_freq, -1, -3
+        )  # (..., n_used, n_rx, n_ltf)
+        # seen = H_eff * P  (per subcarrier);  P P^H = n_ltf I
+        h = seen @ self._p.T.conj() / self._n_ltf  # (..., n_used, n_rx, n_ss)
         return h * np.sqrt(self.n_ss)  # undo the LTF amplitude split
 
     def receive(self, samples, noise_var, psdu_bytes=None,
@@ -328,71 +341,83 @@ class HtPhy:
         (carried by HT-SIG in the real standard) to truncate exactly.
         """
         samples = np.atleast_2d(np.asarray(samples, dtype=np.complex128))
-        if samples.shape[0] != self.n_rx:
-            raise DemodulationError(
-                f"expected {self.n_rx} receive streams, got {samples.shape[0]}"
-            )
-        min_len = (self._n_ltf + 1) * self.symbol_samples
-        if samples.shape[1] < min_len:
-            raise DemodulationError("waveform shorter than training + 1 symbol")
-        h_all = self.estimate_channel(
-            samples[:, : self._n_ltf * self.symbol_samples]
+        psdus, details, errors = self._receive_rows(
+            samples[None], np.array([noise_var], dtype=float), psdu_bytes
         )
-        # Map estimates onto data bins. The estimate includes the 1/sqrt(nss)
-        # data amplitude via the sqrt undo above, so fold it back in.
-        used_pos = {k: i for i, k in enumerate(self._used_bins)}
-        data_rows = np.array([used_pos[b] for b in self._data_bins])
-        h_data = h_all[data_rows] / np.sqrt(self.n_ss)  # (n_data_sc, nr, nss)
+        if errors[0] is not None:
+            raise errors[0]
+        if return_details:
+            return psdus[0], details[0]
+        return psdus[0]
 
-        n_sym = (samples.shape[1] // self.symbol_samples) - self._n_ltf
-        carrier_nv = noise_var * self.n_used / self.fft_size
-        cursor = self._n_ltf * self.symbol_samples
-        bpsc = self.mcs.bits_per_subcarrier
-        # FFT every (rx, symbol) block in one call: (n_sym, n_rx, fft_size).
-        blocks = samples[
-            :, cursor : cursor + n_sym * self.symbol_samples
-        ].reshape(self.n_rx, n_sym, self.symbol_samples)[:, :, self.cp :]
-        freq = np.transpose(self._time_to_freq(blocks), (1, 0, 2))
-        # The channel is constant over the burst, so each subcarrier's
-        # detection filter is computed once and applied to all symbols.
-        est_all = np.empty(
-            (self.n_data_sc, self.n_ss, n_sym), dtype=np.complex128
+    def receive_batch(self, samples, noise_vars, psdu_bytes=None):
+        """Demodulate a batch of waveforms in one vectorized pass.
+
+        Parameters
+        ----------
+        samples : (batch, n_rx, n_samples) complex array
+            One received burst per row.
+        noise_vars : array of float
+            Per-row complex noise variance per sample.
+        psdu_bytes : int, optional
+            As for :meth:`receive`; the same for every row.
+
+        Returns
+        -------
+        list
+            Per row, the decoded PSDU ``bytes`` — exactly what
+            :meth:`receive` returns for that row alone — or ``None``
+            where detection failed (the per-packet analogue of the
+            :class:`DemodulationError` that :meth:`receive` raises).
+        """
+        samples = np.asarray(samples, dtype=np.complex128)
+        if samples.ndim != 3:
+            raise ConfigurationError(
+                f"receive_batch expects a (batch, n_rx, n_samples) array, "
+                f"got shape {samples.shape}"
+            )
+        noise_vars = np.broadcast_to(
+            np.asarray(noise_vars, dtype=float), (samples.shape[0],)
         )
-        nv_all = np.empty((self.n_data_sc, self.n_ss))
-        for c in range(self.n_data_sc):
-            y_c = freq[:, :, self._data_bins[c]].T  # (n_rx, n_sym)
-            h_c = h_data[c]
-            if self.detector == "mmse":
-                est, sinr = detect_mmse(y_c, h_c, carrier_nv)
-                nv_eff = 1.0 / np.maximum(sinr, 1e-12)
-            elif self.detector == "zf":
-                est, sinr = detect_zero_forcing(y_c, h_c, carrier_nv)
-                nv_eff = 1.0 / np.maximum(sinr, 1e-12)
-            else:
-                est = detect_ml(y_c, h_c, self.modulator.constellation)
-                nv_eff = np.full(self.n_ss, 1e-3)
-            est_all[c] = est
-            nv_all[c] = nv_eff
-        # One soft demap for every (subcarrier, stream, symbol) at once.
-        nv_full = np.broadcast_to(nv_all[:, :, None], est_all.shape)
-        llrs = self.modulator.demodulate_soft(
-            est_all.ravel(), np.ascontiguousarray(nv_full).ravel()
-        ).reshape(self.n_data_sc, self.n_ss, n_sym, bpsc)
-        # llr_sym[k, i, c*bpsc + j] = llrs[c, k, i, j]
-        llr_all = np.transpose(llrs, (1, 2, 0, 3)).reshape(
-            self.n_ss, n_sym, self.n_cbpss
-        )
-        soft_streams = ht_deinterleave(
-            llr_all, bpsc, self.bandwidth_mhz
-        ).reshape(self.n_ss, n_sym * self.n_cbpss)
-        soft = self._deparse_streams(soft_streams)
-        decoded = cc.viterbi_decode(
-            soft, n_sym * self.n_dbps, rate=self.mcs.code_rate,
-            terminated=False,
-        )
-        descrambled = scramble(decoded, seed=self.scrambler_seed)
-        payload_bits = descrambled[16:]
-        n_bytes = (payload_bits.size - 6) // 8
+        psdus, _, _ = self._receive_rows(samples, noise_vars, psdu_bytes)
+        return psdus
+
+    def _detect(self, y, h, carrier_nv):
+        """Symbol estimates and their noise variances, all tones at once.
+
+        ``y`` is ``(batch, n_data_sc, n_rx, n_sym)``, ``h`` is
+        ``(batch, n_data_sc, n_rx, n_ss)`` and ``carrier_nv`` is
+        ``(batch,)``; returns ``(batch, n_data_sc, n_ss, n_sym)``
+        estimates and ``(batch, n_data_sc, n_ss)`` variances.
+        """
+        if self.detector == "ml":
+            est = np.empty(h.shape[:2] + (self.n_ss, y.shape[-1]),
+                           dtype=np.complex128)
+            for idx in np.ndindex(*h.shape[:2]):
+                est[idx] = detect_ml(y[idx], h[idx],
+                                     self.modulator.constellation)
+            return est, np.full(est.shape[:-1], 1e-3)
+        detect = detect_mmse if self.detector == "mmse" else detect_zero_forcing
+        est, sinr = detect(y, h, carrier_nv[:, None])
+        return est, 1.0 / np.maximum(sinr, 1e-12)
+
+    def _receive_rows(self, rows, noise_vars, psdu_bytes):
+        """Shared vectorized receiver over a (batch, n_rx, n_samples) block.
+
+        Returns parallel lists ``(psdus, details, errors)``; a row whose
+        detection fails has ``psdus[i] is None`` and the would-be
+        exception in ``errors[i]``. Geometry errors (antenna count,
+        length) concern every row alike and raise.
+        """
+        batch, n_rx, n_samples = rows.shape
+        if n_rx != self.n_rx:
+            raise DemodulationError(
+                f"expected {self.n_rx} receive streams, got {n_rx}"
+            )
+        if n_samples < (self._n_ltf + 1) * self.symbol_samples:
+            raise DemodulationError("waveform shorter than training + 1 symbol")
+        n_sym = n_samples // self.symbol_samples - self._n_ltf
+        n_bytes = (n_sym * self.n_dbps - 16 - 6) // 8
         if psdu_bytes is not None:
             if psdu_bytes > n_bytes:
                 raise DemodulationError(
@@ -400,10 +425,73 @@ class HtPhy:
                     f"{psdu_bytes} requested"
                 )
             n_bytes = psdu_bytes
-        psdu = bytes_from_bits(payload_bits[: 8 * n_bytes])
-        if return_details:
-            return psdu, {"channel": h_data, "n_symbols": n_sym}
-        return psdu
+        psdus = [None] * batch
+        details = [None] * batch
+        errors = [None] * batch
+        with obs.span("phy.ht.rx", packets=batch):
+            cursor = self._n_ltf * self.symbol_samples
+            # Map estimates onto data bins. The estimate includes the
+            # 1/sqrt(nss) data amplitude via the sqrt undo, so fold it back.
+            h_data = self.estimate_channel(rows[..., :cursor])[
+                :, self._data_rows] / np.sqrt(self.n_ss)
+            carrier_nv = noise_vars * self.n_used / self.fft_size
+            # FFT every (rx, symbol) block in one call, then gather the
+            # data tones as (batch, tone, rx, symbol). np.take keeps each
+            # tone's (rx, symbol) matrix strided, as a per-tone slice of
+            # the FFT output is: numpy's matmul picks its kernel by
+            # layout, and a contiguous copy rounds differently.
+            blocks = rows[
+                ..., cursor : cursor + n_sym * self.symbol_samples
+            ].reshape(batch, n_rx, n_sym, self.symbol_samples)[..., self.cp :]
+            y = np.moveaxis(
+                np.take(self._time_to_freq(blocks), self._data_bins, axis=-1),
+                -1, 1,
+            )
+            # The channel is constant over the burst, so each tone's
+            # detection filter is computed once and applied to all symbols.
+            try:
+                est, nv = self._detect(y, h_data, carrier_nv)
+                good = np.arange(batch)
+            except DemodulationError:
+                # A row with a collapsed or singular tone: find it one row
+                # at a time and drop it, so it does not fail the batch.
+                est = np.empty(h_data.shape[:2] + (self.n_ss, n_sym),
+                               dtype=np.complex128)
+                nv = np.empty(h_data.shape[:2] + (self.n_ss,))
+                for i in range(batch):
+                    try:
+                        est[i:i + 1], nv[i:i + 1] = self._detect(
+                            y[i:i + 1], h_data[i:i + 1], carrier_nv[i:i + 1])
+                    except DemodulationError as exc:
+                        errors[i] = exc
+                good = np.flatnonzero([e is None for e in errors])
+                if good.size == 0:
+                    return psdus, details, errors
+                est, nv = est[good], nv[good]
+            g = good.size
+            bpsc = self.mcs.bits_per_subcarrier
+            # One soft demap for every (tone, stream, symbol) at once.
+            nv_full = np.broadcast_to(nv[..., None], est.shape)
+            llrs = self.modulator.demodulate_soft(
+                est.ravel(), np.ascontiguousarray(nv_full).ravel()
+            ).reshape(g, self.n_data_sc, self.n_ss, n_sym, bpsc)
+            # llr_sym[r, k, i, c*bpsc + j] = llrs[r, c, k, i, j]
+            llr_all = np.transpose(llrs, (0, 2, 3, 1, 4)).reshape(
+                g, self.n_ss, n_sym, self.n_cbpss
+            )
+            soft_streams = ht_deinterleave(
+                llr_all, bpsc, self.bandwidth_mhz
+            ).reshape(g, self.n_ss, n_sym * self.n_cbpss)
+            decoded = cc.viterbi_decode(
+                self._deparse_streams(soft_streams), n_sym * self.n_dbps,
+                rate=self.mcs.code_rate, terminated=False,
+            )
+            payload_bits = scramble(decoded, seed=self.scrambler_seed)[
+                :, 16 : 16 + 8 * n_bytes]
+            for i, bits in zip(good, payload_bits):
+                psdus[i] = bytes_from_bits(bits)
+                details[i] = {"channel": h_data[i], "n_symbols": n_sym}
+        return psdus, details, errors
 
     def data_rate_mbps(self, guard_interval="long"):
         """PHY rate for this configuration."""

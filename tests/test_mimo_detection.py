@@ -117,6 +117,74 @@ class TestMl:
             detect_ml(np.ones((4, 1)), h, Modulator(6).constellation)
 
 
+class TestStacks:
+    """Linear detection over (..., Nr, Nt) stacks of matrices."""
+
+    @staticmethod
+    def _stack(rng, n_stack, nr, nt, t):
+        h = _rayleigh((n_stack, nr, nt), rng)
+        y = _rayleigh((n_stack, nr, t), rng)
+        nv = rng.uniform(1e-3, 1.0, size=n_stack)
+        return y, h, nv
+
+    @pytest.mark.parametrize("detect", [detect_mmse, detect_zero_forcing])
+    def test_stack_equals_per_matrix_calls_bitwise(self, rng, detect):
+        for nt in range(1, 5):
+            for nr in range(nt, 5):
+                y, h, nv = self._stack(rng, 6, nr, nt, 7)
+                est, sinr = detect(y, h, nv)
+                assert est.shape == (6, nt, 7) and sinr.shape == (6, nt)
+                for c in range(6):
+                    est_c, sinr_c = detect(y[c], h[c], nv[c])
+                    assert np.array_equal(est[c], est_c)
+                    assert np.array_equal(sinr[c], sinr_c)
+
+    def test_scalar_noise_broadcasts_over_a_stack(self, rng):
+        y, h, _ = self._stack(rng, 5, 3, 2, 4)
+        est, sinr = detect_mmse(y, h, 0.2)
+        est_full, sinr_full = detect_mmse(y, h, np.full(5, 0.2))
+        assert np.array_equal(est, est_full)
+        assert np.array_equal(sinr, sinr_full)
+
+    def test_mmse_matches_solve_form(self, rng):
+        """Against the filter written with ``np.linalg.solve``.
+
+        ``W y = (H^H H + s I)^-1 H^H y``, bias-corrected by the diagonal
+        of ``W H``; the error covariance is ``s (H^H H + s I)^-1``, so
+        the SINR is ``1 / (s [(H^H H + s I)^-1]_kk) - 1``.
+        """
+        y, h, nv = self._stack(rng, 40, 3, 2, 5)
+        est, sinr = detect_mmse(y, h, nv)
+        h_h = np.conj(h).swapaxes(-1, -2)
+        a = h_h @ h + nv[:, None, None] * np.eye(2)
+        wy = np.linalg.solve(a, h_h @ y)
+        wh = np.real(np.diagonal(np.linalg.solve(a, h_h @ h),
+                                 axis1=-2, axis2=-1))
+        a_inv = np.linalg.solve(a, np.broadcast_to(np.eye(2), a.shape))
+        e_kk = nv[:, None] * np.real(np.diagonal(a_inv, axis1=-2, axis2=-1))
+        assert np.allclose(est, wy / wh[..., None], rtol=1e-12, atol=1e-12)
+        assert np.allclose(sinr, 1.0 / e_kk - 1.0, rtol=1e-12, atol=0)
+
+    def test_zero_forcing_inverts_every_channel(self, rng):
+        """Fed the channel itself, ZF returns W H, which must be I."""
+        _, h, nv = self._stack(rng, 40, 4, 3, 1)
+        w_h, _ = detect_zero_forcing(h, h, nv)
+        assert np.allclose(w_h, np.broadcast_to(np.eye(3), w_h.shape),
+                           atol=1e-12)
+
+    def test_singular_tone_in_zf_stack_raises(self, rng):
+        y, h, nv = self._stack(rng, 8, 2, 2, 3)
+        h[5] = 0.0
+        with pytest.raises(DemodulationError):
+            detect_zero_forcing(y, h, nv)
+
+    def test_collapsed_tone_in_mmse_stack_raises(self, rng):
+        y, h, nv = self._stack(rng, 8, 2, 2, 3)
+        h[2] = 0.0
+        with pytest.raises(DemodulationError):
+            detect_mmse(y, h, nv)
+
+
 class TestMrc:
     def test_array_gain_equals_channel_norm(self, rng):
         h = _rayleigh(4, rng)

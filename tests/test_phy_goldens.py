@@ -189,16 +189,40 @@ class TestLinkMcGoldens:
             got = (res.n_packets, res.n_packet_errors, res.n_bit_errors)
             assert got == want, f"{phy}/{chan} seed {seed}: {got} != {want}"
 
+    BATCHED_CASES = [
+        ("ofdm-54", "awgn", 14.0, {}),
+        ("ofdm-12", "rayleigh", 14.0, {}),
+        ("ofdm-24", "tgn-C", 14.0, {}),
+        ("ht-12", "tgn-C", 18.0, {}),
+        ("ht-9", "rayleigh", 10.0, {"detector": "zf"}),
+        ("ht-8", "rayleigh", 8.0, {"detector": "ml"}),
+        ("ht-3", "rayleigh", 8.0, {"n_rx": 3}),
+        ("ht-11", "tgn-B", 14.0, {"n_rx": 3, "detector": "zf"}),
+        ("ht-0", "awgn", -1.5, {"n_rx": 2}),
+        ("vht-8-x2", "tgn-D", 28.0, {}),
+        ("vht40-4-x3", "rayleigh", 16.0, {"n_rx": 4}),
+    ]
+
     def test_batched_matches_scalar_path(self, gold):
-        """The vectorized trial path equals the per-packet loop exactly."""
-        for phy, chan in [("ofdm-54", "awgn"), ("ofdm-12", "rayleigh"),
-                          ("ofdm-24", "tgn-C")]:
-            fast = LinkSimulator(phy, chan, rng=31).run(
-                14.0, n_packets=10, payload_bytes=50)
-            slow = LinkSimulator(phy, chan, rng=31).run(
-                14.0, n_packets=10, payload_bytes=50, vectorized=False)
-            assert (fast.n_packet_errors, fast.n_bit_errors) == \
-                   (slow.n_packet_errors, slow.n_bit_errors)
+        """The vectorized trial path equals the per-packet loop exactly.
+
+        Counts and the generator state after the run: the batched path
+        must draw exactly what the per-packet loop draws, in its order.
+        """
+        for phy, chan, snr, kwargs in self.BATCHED_CASES:
+            fast_sim = LinkSimulator(phy, chan, rng=31, **kwargs)
+            slow_sim = LinkSimulator(phy, chan, rng=31, **kwargs)
+            fast = fast_sim.run(snr, n_packets=10, payload_bytes=50,
+                                batch_size=4)
+            slow = slow_sim.run(snr, n_packets=10, payload_bytes=50,
+                                batch_size=4, vectorized=False)
+            case = f"{phy}/{chan} {kwargs}"
+            assert (fast.n_packets, fast.n_packet_errors,
+                    fast.n_bit_errors) == (slow.n_packets,
+                                           slow.n_packet_errors,
+                                           slow.n_bit_errors), case
+            assert fast_sim.rng.bit_generator.state == \
+                   slow_sim.rng.bit_generator.state, case
 
 
 class TestBatchedWaveformEquivalence:
@@ -262,3 +286,48 @@ class TestBatchedWaveformEquivalence:
         assert got[8] == payloads[0][:12]
         assert got[6] == payloads[6]
 
+    @pytest.mark.parametrize("detector", ["mmse", "zf", "ml"])
+    @pytest.mark.filterwarnings("error")
+    def test_ht_receive_batch_mixed_rows(self, detector):
+        """One HT call stacking rows at 0-30 dB equals per-row receive().
+
+        Each row has its own Rayleigh channel and noise level; one row's
+        HT-LTF is zeroed, so its channel estimate is all zero and linear
+        detection fails on it. Every row must come back exactly as
+        ``receive`` on that row alone, PSDU or failure, and the failed
+        row must not fail the others.
+        """
+        rng = np.random.default_rng(13)
+        phy = HtPhy(mcs=9, n_rx=3, detector=detector)
+        payloads = [bytes(rng.integers(0, 256, 30, dtype=np.uint8).tolist())
+                    for _ in range(8)]
+        tx = phy.transmit_batch(payloads)
+        h = (rng.normal(size=(8, 3, 2))
+             + 1j * rng.normal(size=(8, 3, 2))) / np.sqrt(2)
+        rows = h @ tx
+        snr_db = np.array([0.0, 3.0, 6.0, 10.0, 15.0, 20.0, 30.0, 25.0])
+        power = np.mean(np.abs(tx[0]) ** 2) * 2
+        noise_var = power / 10.0 ** (snr_db / 10.0)
+        for i, nv in enumerate(noise_var):
+            rows[i] += awgn_noise(rows.shape[1:], nv, rng)
+        rows[7, :, :phy.n_samples(30) - phy.n_symbols(30)
+             * phy.symbol_samples] = 0.0  # HT-LTF: a zero channel estimate
+        got = phy.receive_batch(rows, noise_var, psdu_bytes=30)
+        for i in range(rows.shape[0]):
+            try:
+                want = phy.receive(rows[i], noise_var[i], psdu_bytes=30)
+            except DemodulationError:
+                want = None
+            assert got[i] == want, f"row {i} at {snr_db[i]} dB"
+        if detector != "ml":
+            assert got[7] is None
+        assert got[6] == payloads[6]
+
+    def test_ht_transmit_batch(self):
+        rng = np.random.default_rng(14)
+        payloads = [bytes(rng.integers(0, 256, 30, dtype=np.uint8).tolist())
+                    for _ in range(3)]
+        phy = HtPhy(mcs=12)
+        batch = phy.transmit_batch(payloads)
+        for i, p in enumerate(payloads):
+            assert_array_equal(batch[i], phy.transmit(p))
