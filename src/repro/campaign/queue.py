@@ -426,7 +426,6 @@ def run_local_queue(spec, code_version, todo, workers, retries, timeout_s,
             if board is not None:
                 board.worker_heartbeat(pid, payload)
                 update_board()
-                board.maybe_write()
             return
         if msg_type == "record":
             key = payload["key"]

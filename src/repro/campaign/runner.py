@@ -562,10 +562,12 @@ def run_campaign(spec, workers=1, store=None, force=False, echo=None,
         skips completed points via cache keys.
     heartbeat_s : float or None
         Live-status cadence: how often workers heartbeat (flushing
-        in-flight telemetry) and the parent refreshes
-        ``results/<name>/status.json`` (see :mod:`repro.obs.live`).
-        ``None`` uses ``$REPRO_HEARTBEAT_S``, default 1.0 s. Only
-        store-backed runs write a status file.
+        in-flight telemetry) and the parent writes
+        ``results/<name>/status.json`` — every heartbeat from one
+        heartbeat in, plus once at the end, so a run killed inside its
+        first heartbeat leaves the previous document (see
+        :mod:`repro.obs.live`). ``None`` uses ``$REPRO_HEARTBEAT_S``,
+        default 1.0 s. Only store-backed runs write a status file.
     trace : bool
         Collect :mod:`repro.obs` telemetry for this run. With a store,
         every process writes a JSONL part file under
@@ -643,8 +645,8 @@ def _run_campaign(spec, workers, store, force, echo, retries, timeout_s,
     # Live status: store-backed runs keep results/<name>/status.json
     # fresh for `repro campaign watch`. The board owns a metrics
     # registry (installed process-wide below so the MC engine's batch
-    # latency histograms land in it) and a ticker thread that re-writes
-    # the file every heartbeat even when nothing completes.
+    # latency histograms land in it) and a ticker thread that writes
+    # the file every heartbeat; `finish` writes the terminal document.
     board = None
     registry = None
     if store is not None:
@@ -680,7 +682,6 @@ def _run_campaign_impl(spec, workers, store, force, say, retries,
 
     if board is not None:
         board.start_ticker()
-        board.maybe_write(force=True)
     with obs.span("campaign.run", campaign=spec.name, kind=spec.kind,
                   n_points=len(points), backend=backend,
                   resume=bool(resume),

@@ -142,12 +142,17 @@ class ResultsStore:
     # -- writing -------------------------------------------------------------
 
     def write_spec(self, spec):
-        """Persist the spec alongside its records."""
+        """Persist the spec alongside its records (skipped if unchanged)."""
         os.makedirs(self.campaign_dir(spec.name), exist_ok=True)
         path = os.path.join(self.campaign_dir(spec.name), SPEC_FILE)
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(spec.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        data = (json.dumps(spec.to_dict(), indent=2, sort_keys=True)
+                + "\n").encode("utf-8")
+        if os.path.exists(path):
+            with open(path, "rb") as fh:
+                if fh.read() == data:
+                    return
+        with open(path, "wb") as fh:
+            fh.write(data)
 
     def append(self, name, record):
         """Append one completed point record, atomically.

@@ -1,7 +1,7 @@
 """Live campaign telemetry: the ``status.json`` snapshotter.
 
 While a campaign runs, the orchestrating process keeps an atomic,
-always-parseable ``results/<name>/status.json`` up to date: done /
+always-parseable ``results/<name>/status.json``: done /
 running / failed / cached point counts, per-worker heartbeats with
 last-seen ages, an EWMA throughput estimate with an ETA, stall
 detection, and merged :mod:`repro.obs.metrics` snapshots (per-point
@@ -20,14 +20,16 @@ it:
   lands in ``worker_heartbeat`` — so a worker grinding through one long
   point is visibly alive, not indistinguishable from a hung one;
 * a worker death with leased work outstanding (``worker_dead``) is
-  flagged as a *stall*: the lease outlived its owner's heartbeats and
-  was forfeited back to the queue.
+  flagged as a *stall* and written at once: the lease outlived its
+  owner's heartbeats and was forfeited back to the queue.
 
-A background ticker thread re-writes the file every heartbeat interval
-even when nothing completes, so ages, ETA and stall flags stay fresh.
+The file is written by a background ticker thread every heartbeat
+interval, the first one heartbeat into the run, and once more at the
+end (``finish``); a run shorter than one heartbeat writes it once.
 Writes are atomic (temp file + ``os.replace``): a reader can never
 observe a torn document, and a run killed at any instant leaves the
-last complete snapshot behind — itself useful post-mortem evidence.
+last complete snapshot behind — the previous run's, if the kill lands
+inside the first heartbeat. Records and resume do not depend on it.
 
 Stall detection: an *alive* worker whose last heartbeat is older than
 ``stall_after_s`` (default ``STALL_AFTER_BEATS`` heartbeat intervals)
@@ -160,7 +162,6 @@ class StatusBoard:
         self._stalls = 0
         self._ewma_pps = None
         self._m_last_done = None
-        self._m_last_write = 0.0
         self._ticker = None
         self._stop = threading.Event()
 
@@ -195,7 +196,6 @@ class StatusBoard:
                 slot["last_progress"] = slot["last_seen"]
         if self.registry is not None and wall_s is not None:
             self.registry.observe("campaign.point.wall_s", wall_s)
-        self.maybe_write()
 
     def set_running(self, n):
         """How many points are currently leased out / in flight."""
@@ -249,10 +249,11 @@ class StatusBoard:
             slot = self._worker_slot(pid)
             slot["state"] = "dead"
             slot["forfeited_points"] += int(forfeited)
-            if forfeited:
-                slot["stalled"] = True
-                self._stalls += 1
-        self.maybe_write(force=True)
+            if not forfeited:
+                return
+            slot["stalled"] = True
+            self._stalls += 1
+        self.maybe_write()
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -263,7 +264,7 @@ class StatusBoard:
 
         def tick():
             while not self._stop.wait(self.heartbeat_s):
-                self.maybe_write(force=True)
+                self.maybe_write()
 
         self._ticker = threading.Thread(target=tick, daemon=True,
                                         name="campaign-status")
@@ -278,7 +279,7 @@ class StatusBoard:
         with self._lock:
             self._state = state
             self._running = 0
-        self.maybe_write(force=True)
+        self.maybe_write()
 
     # -- snapshotting --------------------------------------------------------
 
@@ -348,16 +349,10 @@ class StatusBoard:
             }
         return document
 
-    def maybe_write(self, force=False):
-        """Snapshot to disk, rate-limited to ~4 writes per heartbeat."""
+    def maybe_write(self):
+        """Snapshot to disk; a no-op for an in-memory board."""
         if self.path is None:
             return None
-        now = time.monotonic()
-        min_interval = max(0.05, self.heartbeat_s / 4.0)
-        with self._lock:
-            if not force and now - self._m_last_write < min_interval:
-                return None
-            self._m_last_write = now
         return write_json_atomic(self.path, self.snapshot())
 
 

@@ -380,6 +380,29 @@ class TestStore:
         with pytest.raises(ConfigurationError):
             ResultsStore(tmp_path).load_spec("ghost")
 
+    @pytest.mark.parametrize("backend", ["jsonl", "sqlite"])
+    def test_unchanged_spec_is_not_rewritten(self, tmp_path, backend):
+        store = make_store(tmp_path, backend)
+        try:
+            store.write_spec(quick_spec())
+            path = os.path.join(store.campaign_dir("tiny"), "spec.json")
+            # Backdate the file: any rewrite would stamp the present.
+            past = 1_000_000_000 * 10**9
+            os.utime(path, ns=(past, past))
+            before = os.stat(path)
+            store.write_spec(quick_spec())
+            after = os.stat(path)
+            assert after.st_ino == before.st_ino
+            assert after.st_mtime_ns == before.st_mtime_ns == past
+
+            widened = quick_spec(factors={"phy": ["dsss-1", "dsss-2"],
+                                          "snr_db": [0.0, 8.0, 16.0]})
+            store.write_spec(widened)
+            assert os.stat(path).st_mtime_ns != past
+            assert store.load_spec("tiny") == widened
+        finally:
+            store.close()
+
 
 class TestReport:
     def records(self):

@@ -225,12 +225,14 @@ class TestStatusBoard:
         assert hist["n"] == 1
         assert doc["histogram_summary"]["campaign.point.wall_s"]["n"] == 1
 
-    def test_maybe_write_rate_limits_but_force_writes(self, tmp_path):
-        board = StatusBoard(tmp_path / "s.json", campaign="t", total=1,
+    def test_maybe_write_writes_on_every_call(self, tmp_path):
+        board = StatusBoard(tmp_path / "s.json", campaign="t", total=2,
                             heartbeat_s=10.0)
-        assert board.maybe_write(force=True) is not None
-        assert board.maybe_write() is None  # inside the min interval
-        assert board.maybe_write(force=True) is not None
+        assert board.maybe_write() is not None
+        board.point_done()
+        assert board.maybe_write() is not None  # no rate limit
+        doc = live.read_status(tmp_path / "s.json")
+        assert doc["points"]["done"] == 1
 
     def test_finish_writes_terminal_state(self, tmp_path):
         board = StatusBoard(tmp_path / "s.json", campaign="t", total=1)
@@ -350,6 +352,41 @@ class TestLiveStatusEndToEnd:
         assert doc["points"]["failed"] == 0
         assert doc["points"]["remaining"] == 0
         assert store.count("live-stall") == 8
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_short_runs_write_status_once_at_the_end(self, tmp_path,
+                                                     monkeypatch, workers):
+        """A run shorter than one heartbeat writes only its terminal
+        document, and a fully cached re-run leaves spec.json alone."""
+        written = []
+        write = live.write_json_atomic
+
+        def counting_write(path, document):
+            written.append(document)
+            return write(path, document)
+
+        monkeypatch.setattr(live, "write_json_atomic", counting_write)
+        store = ResultsStore(tmp_path / "r")
+        spec = CampaignSpec(name="live-once", kind="test-live-slow",
+                            factors={"x": list(range(6))}, base_seed=5)
+        run_campaign(spec, workers=workers, store=store, heartbeat_s=10.0)
+        assert [d["state"] for d in written] == ["done"]
+        assert written[0]["points"]["done"] == 6
+
+        spec_path = os.path.join(store.campaign_dir("live-once"),
+                                 "spec.json")
+        past = 1_000_000_000 * 10**9
+        os.utime(spec_path, ns=(past, past))
+        del written[:]
+        result = run_campaign(spec, workers=workers, store=store,
+                              heartbeat_s=10.0)
+        assert result.n_cached == 6
+        assert len(written) == 1
+        doc = written[0]
+        assert doc["state"] == "done"
+        assert doc["points"]["cached"] == doc["points"]["total"] == 6
+        assert doc["points"]["done"] == 0
+        assert os.stat(spec_path).st_mtime_ns == past
 
     def test_status_observable_mid_run(self, tmp_path):
         """A watcher polling status.json during the run sees live
