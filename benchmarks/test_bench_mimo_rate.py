@@ -6,6 +6,7 @@ multiplexing. The bench walks the MCS table (1-4 streams, 20/40 MHz) and
 verifies the real transceiver moves bits at MCS indices across the range.
 """
 
+import functools
 import time
 
 import numpy as np
@@ -14,6 +15,7 @@ from repro.core.link import LinkSimulator
 from repro.phy.mimo.capacity import ergodic_capacity
 from repro.phy.mimo.ht import HtPhy
 from repro.standards.mcs import HT_MCS_TABLE, ht_data_rate_mbps
+from tests.link_reference import reference_run
 
 
 def _rate_table():
@@ -85,12 +87,15 @@ def test_bench_mimo_capacity_scaling(benchmark, report):
 HT_SNRS = [10.0, 14.0, 18.0, 22.0, 26.0]
 
 
-def _ht_waterfall_timed(vectorized):
-    """An ht-12 (2-stream 16-QAM) TGn-C waterfall, batched or per packet."""
+def _ht_waterfall_timed(batched):
+    """An ht-12 (2-stream 16-QAM) TGn-C waterfall, batched or per packet.
+
+    The per-packet side is ``tests/link_reference.py``'s serial loop.
+    """
     sim = LinkSimulator("ht-12", "tgn-C", rng=17)
+    run = sim.run if batched else functools.partial(reference_run, sim)
     t0 = time.perf_counter()
-    table = [sim.run(snr, n_packets=24, payload_bytes=60,
-                     vectorized=vectorized).per
+    table = [run(snr, n_packets=24, payload_bytes=60).per
              for snr in HT_SNRS]
     return time.perf_counter() - t0, table
 

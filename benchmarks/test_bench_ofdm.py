@@ -6,10 +6,12 @@ The bench regenerates the 8-rate waterfall in AWGN and a multipath (TGn-C)
 check at the top rate.
 """
 
+import functools
 import time
 
 from repro.core.link import LinkSimulator, run_link_grid
 from repro.phy.ofdm import OFDM_RATES
+from tests.link_reference import reference_run
 
 SNRS = [4.0, 10.0, 16.0, 22.0, 28.0]
 
@@ -52,20 +54,22 @@ def test_bench_ofdm_multipath(benchmark, report):
     assert result.per < 0.6
 
 
-def _waterfall_timed(vectorized):
-    """The E4 waterfall grid with an explicit per-packet/batched switch."""
+def _waterfall_timed(batched):
+    """The E4 waterfall grid, batched or through the per-packet reference."""
     table = {}
     t0 = time.perf_counter()
     for rate in sorted(OFDM_RATES):
         sim = LinkSimulator(f"ofdm-{rate}", "awgn", rng=17)
-        table[rate] = [sim.run(snr, n_packets=12, payload_bytes=60,
-                               vectorized=vectorized).per
+        run = sim.run if batched else functools.partial(reference_run, sim)
+        table[rate] = [run(snr, n_packets=12, payload_bytes=60).per
                        for snr in SNRS]
     return time.perf_counter() - t0, table
 
 
 def test_bench_ofdm_batching_speedup(benchmark, report):
-    """Batched PHY kernels vs the per-packet path on the same waterfall.
+    """Batched PHY kernels vs the per-packet reference on one waterfall.
+
+    The per-packet side is ``tests/link_reference.py``'s serial loop.
 
     Both paths feed the channel generator identically, so every PER on
     the grid must agree exactly; the batched path just amortises the

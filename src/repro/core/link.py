@@ -35,9 +35,10 @@ from repro.analysis.union_bound import (
     union_bound_ber,
     union_bound_per,
 )
-from repro.channel.awgn import awgn_noise
 from repro.channel.models import TGN_PROFILES, tgn_channel
-from repro.core.mc import analytic_result, run_grid_trials, run_trials
+from repro.core.mc import analytic_result, run_grid_trials
+# Unused here; perfbench's tracer wraps ``run_trials`` in this module.
+from repro.core.mc import run_trials  # noqa: F401
 from repro.core.mc.stats import rate_interval
 from repro.errors import ConfigurationError, ReproError
 from repro.phy.cck import CckPhy
@@ -45,7 +46,7 @@ from repro.phy.dsss import DsssPhy
 from repro.phy.fhss import GfskModem
 from repro.phy.mimo.ht import HtPhy, VhtPhy
 from repro.phy.ofdm import OfdmPhy
-from repro.utils.bits import bits_from_bytes, count_bit_errors
+from repro.utils.bits import bits_from_bytes, bytes_from_bits, count_bit_errors
 from repro.utils.rng import as_generator
 from repro.utils.validation import require_snr_array, validate_link_run_args
 
@@ -176,56 +177,50 @@ class LinkSimulator:
     # -- construction -------------------------------------------------------
 
     def _make_phy(self, name, n_rx, detector):
-        parts = name.split("-")
-        kind = parts[0]
+        kind, *fields = name.split("-")
+        vht = kind in ("vht", "vht40", "vht80", "vht160")
+        if not fields or len(fields) > (2 if vht else 1):
+            raise ConfigurationError(f"unknown PHY configuration {name!r}")
+        try:
+            # The rate in Mbps, or the MCS index for HT/VHT.
+            number = float(fields[0]) if kind == "cck" else int(fields[0])
+            streams = int(fields[1].lstrip("x")) if len(fields) > 1 else 1
+        except ValueError:
+            raise ConfigurationError(
+                f"malformed PHY configuration {name!r}") from None
+        self.n_tx = self.n_rx = 1
+        self._kind = "modem"
+        self.rate_mbps = float(number)
         if kind == "dsss":
-            self._phy = DsssPhy(int(parts[1]))
-            self._kind = "chips"
-            self.n_tx = 1
-            self.n_rx = 1
-            self.rate_mbps = float(parts[1])
-            self.sample_rate = self._phy.chip_rate_hz
+            modem = DsssPhy(number)
+            self._phy = _BitModem(modem, modem.n_chips)
+            self.sample_rate = modem.chip_rate_hz
         elif kind == "cck":
-            self._phy = CckPhy(float(parts[1]))
-            self._kind = "chips"
-            self.n_tx = 1
-            self.n_rx = 1
-            self.rate_mbps = float(parts[1])
+            modem = CckPhy(number)
+            self._phy = _BitModem(modem, modem.n_chips)
             self.sample_rate = 11e6
         elif kind == "fhss":
-            rate = int(parts[1])
-            self._phy = GfskModem(levels=2 if rate == 1 else 4,
-                                  modulation_index=0.32 if rate == 1 else 0.45)
-            self._kind = "fhss"
-            self.n_tx = 1
-            self.n_rx = 1
-            self.rate_mbps = float(rate)
-            self.sample_rate = 1e6 * self._phy.sps
+            if number not in (1, 2):
+                raise ConfigurationError(
+                    f"FHSS rate must be 1 or 2 Mbps, got {number}")
+            modem = GfskModem(levels=2 * number,
+                              modulation_index=0.32 if number == 1 else 0.45)
+            self._phy = _BitModem(modem, modem.n_samples, sized=True)
+            self.sample_rate = 1e6 * modem.sps
         elif kind == "ofdm":
-            self._phy = OfdmPhy(int(parts[1]))
+            self._phy = OfdmPhy(number)
             self._kind = "ofdm"
-            self.n_tx = 1
-            self.n_rx = 1
-            self.rate_mbps = float(parts[1])
             self.sample_rate = 20e6
-        elif kind in ("ht", "ht40"):
-            bw = 40 if kind == "ht40" else 20
-            mcs = int(parts[1])
-            streams = mcs // 8 + 1
-            self._phy = HtPhy(mcs=mcs, bandwidth_mhz=bw,
-                              n_rx=n_rx or streams, detector=detector)
-            self._kind = "ht"
-            self.n_tx = streams
-            self.n_rx = n_rx or streams
-            self.rate_mbps = self._phy.data_rate_mbps()
-            self.sample_rate = self._phy.sample_rate
-        elif kind in ("vht", "vht40", "vht80", "vht160"):
-            bw = int(kind[3:]) if len(kind) > 3 else 20
-            mcs = int(parts[1])
-            streams = int(parts[2].lstrip("x")) if len(parts) > 2 else 1
-            self._phy = VhtPhy(mcs=mcs, spatial_streams=streams,
-                               bandwidth_mhz=bw, n_rx=n_rx or streams,
-                               detector=detector)
+        elif kind in ("ht", "ht40") or vht:
+            if vht:
+                self._phy = VhtPhy(mcs=number, spatial_streams=streams,
+                                   bandwidth_mhz=int(kind[3:] or 20),
+                                   n_rx=n_rx or streams, detector=detector)
+            else:
+                streams = number // 8 + 1
+                self._phy = HtPhy(mcs=number,
+                                  bandwidth_mhz=40 if kind == "ht40" else 20,
+                                  n_rx=n_rx or streams, detector=detector)
             self._kind = "ht"
             self.n_tx = streams
             self.n_rx = n_rx or streams
@@ -243,7 +238,7 @@ class LinkSimulator:
             f"unknown channel {channel!r}; use 'awgn', 'rayleigh' or 'tgn-A'..'tgn-F'"
         )
 
-    # -- channel and one packet ---------------------------------------------
+    # -- channel ------------------------------------------------------------
 
     def _draw_channel(self, rng):
         """Draw one channel realisation from ``rng``.
@@ -264,42 +259,6 @@ class LinkSimulator:
                           self.n_tx, sample_rate_hz=self.sample_rate, rng=rng)
         taps = tdl.draw()
         return lambda tx: tdl.apply(tx, taps)
-
-    def _send_packet(self, payload, snr_db):
-        """Returns (bit_errors, packet_error) for one payload transmission."""
-        sent_bits = bits_from_bytes(payload)
-        if self._kind in ("chips", "fhss"):
-            tx = np.atleast_2d(self._phy.modulate(sent_bits))
-        else:
-            tx = np.atleast_2d(self._phy.transmit(payload))
-        rx = self._draw_channel(self.rng)(tx)
-        # SNR convention: *average* received SNR. Channels have unit mean
-        # gain per antenna pair, so the expected receive power per antenna
-        # equals the total transmit power; scaling noise to that average
-        # (not to the instantaneous packet power) preserves per-packet
-        # fades — the whole point of diversity experiments.
-        total_tx_power = float(np.mean(np.abs(tx) ** 2)) * tx.shape[0]
-        noise_var = total_tx_power / 10.0 ** (snr_db / 10.0)
-        rx = rx + awgn_noise(rx.shape, noise_var, self.rng)
-
-        try:
-            if self._kind == "chips":
-                got_bits = self._phy.demodulate(rx.ravel())
-                bit_errs = count_bit_errors(sent_bits, got_bits)
-            elif self._kind == "fhss":
-                got_bits = self._phy.demodulate(rx.ravel(), sent_bits.size)
-                bit_errs = count_bit_errors(sent_bits, got_bits)
-            elif self._kind == "ofdm":
-                got = self._phy.receive(rx.ravel(), noise_var)
-                bit_errs = _byte_errors(payload, got)
-            else:
-                got = self._phy.receive(rx, noise_var,
-                                        psdu_bytes=len(payload))
-                bit_errs = _byte_errors(payload, got)
-        except ReproError:
-            # Undecodable frame: all payload bits counted in error.
-            return sent_bits.size, True
-        return bit_errs, bit_errs > 0
 
     # -- analytic fast path -------------------------------------------------
 
@@ -360,7 +319,7 @@ class LinkSimulator:
 
     def run(self, snr_db, n_packets=100, payload_bytes=100, *,
             precision=None, max_trials=None, confidence=0.95,
-            batch_size=50, vectorized=None, analytic_floor=None):
+            batch_size=50, analytic_floor=None):
         """Send random payloads at one SNR through the MC engine.
 
         With ``precision=None`` (the default) exactly ``n_packets`` are
@@ -370,14 +329,13 @@ class LinkSimulator:
         ``<= precision`` or ``max_trials`` packets have been spent;
         ``result.mc`` records which.
 
-        ``vectorized`` selects the batched PHY path (default: on for
-        OFDM and HT/VHT PHYs, which support it): the point runs as a
-        one-column grid of :func:`run_grid_trials`, each batch of
-        packets one transmit/receive invocation — for HT/VHT one
-        stacked MIMO detection and one trellis sweep. Draws come from
+        Every PHY runs the point as a one-column grid of
+        :func:`run_grid_trials`, each batch of ``batch_size`` packets
+        one transmit/receive invocation — for HT/VHT one stacked MIMO
+        detection and one trellis sweep; DSSS/CCK and FHSS modulate
+        and demodulate packet by packet inside it. Draws come from
         ``self.rng`` in the per-packet order (:class:`SerialDraws`), so
-        results are bit-identical either way. Pass ``False`` to force
-        the per-packet loop.
+        results do not depend on ``batch_size``.
 
         ``analytic_floor`` enables the analytic fast path: when the
         union-bound PER at this point is at or below the floor, no
@@ -395,34 +353,19 @@ class LinkSimulator:
             mc = analytic_result(bounds["per"], target="packet_error",
                                  confidence=confidence)
             return self._result(snr_db, payload_bytes, mc, bounds, floor)
-        vectorized = self._kind in ("ofdm", "ht") and (vectorized is None
-                                                       or bool(vectorized))
-
-        def trial(rng):
-            payload = _random_payload(rng, payload_bytes)
-            errs, bad = self._send_packet(payload, snr_db)
-            obs.counter("link.packets")
-            return {"packet_error": int(bad), "bit_errors": int(errs)}
 
         with obs.span("link.run", phy=self.phy_name,
                       channel=self.channel_name,
                       snr_db=float(snr_db)) as span, obs.timed() as clock:
-            if vectorized:
-                # Python's scalar power, as the per-packet loop computes
-                # it; numpy's array power can differ in the last bit.
-                grid_fn = _grid_fn([self], [10.0 ** (snr_db / 10.0)],
-                                   payload_bytes, SerialDraws(self))
-                mc, = run_grid_trials(
-                    grid_fn, n_packets, 1, target="packet_error",
-                    batch_size=batch_size, confidence=confidence,
-                    precision=precision, max_trials=max_trials)
-            else:
-                mc = run_trials(trial, n_trials=n_packets,
-                                target="packet_error", rng=self.rng,
-                                precision=precision, max_trials=max_trials,
-                                confidence=confidence, batch_size=batch_size)
+            # Python's scalar power, as the seed-era loop computed it;
+            # numpy's array power can differ in the last bit.
+            grid_fn = _grid_fn([self], [10.0 ** (snr_db / 10.0)],
+                               payload_bytes, SerialDraws(self))
+            mc, = run_grid_trials(
+                grid_fn, n_packets, 1, target="packet_error",
+                batch_size=batch_size, confidence=confidence,
+                precision=precision, max_trials=max_trials)
             span.set(n_trials=mc.n_trials, stop_reason=mc.stop_reason,
-                     vectorized=vectorized,
                      packets_per_s=(mc.n_trials / clock.elapsed
                                     if clock.elapsed > 0 else 0.0))
         return self._result(snr_db, payload_bytes, mc)
@@ -499,7 +442,7 @@ class LinkSimulator:
         return 0.5 * (lo + hi)
 
 
-# -- the grid engine (OFDM and HT/VHT) ---------------------------------------
+# -- the grid engine (every PHY) ---------------------------------------------
 
 #: Most rows x trellis steps one grid ``receive_batch`` call decodes. A
 #: rate's SNR columns are stacked into one call up to this budget, so the
@@ -518,6 +461,50 @@ def _byte_errors(sent, got):
     if len(got) != len(sent):
         return 8 * len(sent)
     return count_bit_errors(bits_from_bytes(sent), bits_from_bytes(got))
+
+
+class _BitModem:
+    """A bit-level modem (DSSS, CCK, GFSK) behind the PSDU batch interface.
+
+    The grid engine transmits and receives batches of PSDUs; these
+    modems map one bit vector at a time, so each row is modulated and
+    demodulated on its own. A row whose decode raises comes back as
+    ``None``, which the engine counts as every payload bit in error.
+    ``n_samples`` gives the waveform length for a bit count; ``sized``
+    modems (GFSK) are told how many bits to demodulate. A modem symbol
+    stands in for an OFDM symbol in the engine's row-step budget.
+    """
+
+    def __init__(self, modem, n_samples, sized=False):
+        self.modem = modem
+        self.n_dbps = modem.bits_per_symbol
+        self._n_samples = n_samples
+        self._sized = sized
+
+    def n_symbols(self, psdu_bytes):
+        """Data symbols of one ``psdu_bytes`` packet."""
+        return 8 * psdu_bytes // self.n_dbps
+
+    def n_samples(self, psdu_bytes):
+        """Waveform length of one ``psdu_bytes`` packet."""
+        return self._n_samples(8 * psdu_bytes)
+
+    def transmit_batch(self, psdus):
+        """``(m, n)`` waveforms, one modulated row per PSDU."""
+        return np.stack([self.modem.modulate(bits_from_bytes(psdu))
+                         for psdu in psdus])
+
+    def receive_batch(self, samples, noise_vars, psdu_bytes):
+        """One PSDU (or ``None`` on a failed decode) per received row."""
+        n_bits = (8 * psdu_bytes,) if self._sized else ()
+        psdus = []
+        for row in samples:
+            try:
+                psdus.append(bytes_from_bits(
+                    self.modem.demodulate(row, *n_bits)))
+            except ReproError:
+                psdus.append(None)
+        return psdus
 
 
 def grid_trial_draws(entropy, t, payload_bytes, n_max, channel):
@@ -576,18 +563,19 @@ class TrialSubstreams:
 class SerialDraws:
     """Per-point draws from one simulator's generator, packet by packet.
 
-    Each packet consumes ``sim.rng`` in the per-packet loop's order:
+    Each packet consumes ``sim.rng`` in the seed-era serial order:
     payload bytes, then the channel realisation, then the noise normals
     — real block, then imaginary block, over the PHY's receive shape, as
     :func:`~repro.channel.awgn.awgn_noise` draws them (noise is scaled
     after drawing, so it can be drawn before the transmit power is
     known). A batched run therefore leaves the generator, and every
-    count, as the per-packet loop does.
+    count, as sending one packet at a time does, whatever the batch
+    size.
     """
 
     def __init__(self, sim):
         self.sim = sim
-        # OFDM waveforms are 1-D; HT/VHT ones are (n_rx, n) per packet.
+        # OFDM waveforms are 1-D; the others are (n_rx, n) per packet.
         self.lead = () if sim._kind == "ofdm" else (sim.n_rx,)
 
     def draw(self, lo, hi, payload_bytes, n_samples):
@@ -613,7 +601,7 @@ class SerialDraws:
 
 
 def _grid_fn(sims, snr_lin, payload_bytes, source):
-    """The :func:`run_grid_trials` trial function of an OFDM or HT grid.
+    """The :func:`run_grid_trials` trial function of a link grid.
 
     Column ``p * len(snr_lin) + s`` is PHY ``sims[p]`` at linear SNR
     ``snr_lin[s]``. Each call draws its trials once from ``source`` (a
@@ -621,8 +609,8 @@ def _grid_fn(sims, snr_lin, payload_bytes, source):
     once per PHY, and decodes a PHY's SNR columns stacked in one
     receive call as far as :data:`GRID_ROW_STEPS` allows. An HT/VHT
     packet is an ``(n_tx, n)`` transmit row and an ``(n_rx, n)``
-    receive row. A packet's noise power is the per-packet loop's
-    ``mean |tx|^2 * n_tx``.
+    receive row; a DSSS/CCK or FHSS packet is a chip or sample row of
+    its :class:`_BitModem`.
     """
     n_snr = len(snr_lin)
     lengths = [sim._phy.n_samples(payload_bytes) for sim in sims]
@@ -641,8 +629,13 @@ def _grid_fn(sims, snr_lin, payload_bytes, source):
             phy = sims[p]._phy
             n = lengths[p]
             tx = phy.transmit_batch(payloads)  # (m, [n_tx,] n), shared by SNRs
-            # One whole-packet mean per row, as the per-packet loop takes
-            # it: an axis reduction over (n_tx, n) may sum in another order.
+            # SNR convention: *average* received SNR. Channels have unit
+            # mean gain per antenna pair, so the expected receive power
+            # per antenna equals the total transmit power; scaling noise
+            # to that average (not to the instantaneous packet power)
+            # preserves per-packet fades — the whole point of diversity
+            # experiments. One whole-packet mean per row: an axis
+            # reduction over (n_tx, n) may sum in another order.
             power = np.array([np.mean(np.abs(row) ** 2) for row in tx]) \
                 * sims[p].n_tx
             if sims[p]._kind == "ofdm":

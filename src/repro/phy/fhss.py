@@ -132,6 +132,10 @@ class GfskModem:
         phase = 2.0 * np.pi * (self.modulation_index / 2.0) * np.cumsum(freq)
         return np.exp(1j * phase)
 
+    def n_samples(self, n_bits):
+        """Signal length :meth:`modulate` produces for ``n_bits`` bits."""
+        return n_bits // self.bits_per_symbol * self.sps + len(self._pulse) - 1
+
     def demodulate(self, signal, n_bits):
         """Discriminator (phase-difference) detection."""
         signal = np.asarray(signal, dtype=np.complex128).ravel()

@@ -4,7 +4,7 @@
 consumer API — ``run`` / ``waterfall`` / ``snr_for_per``, returning the
 same :class:`~repro.core.link.LinkResult` — but instead of modulating
 waveforms it interpolates a precomputed :class:`PerSurface` and draws
-packet outcomes as vectorized Bernoulli trials. A packet that cost the
+packet outcomes as batched Bernoulli trials. A packet that cost the
 waveform path milliseconds costs the surrogate one comparison against a
 uniform draw, which is what lets :mod:`repro.mesh` and
 :mod:`repro.mac` scale to thousands of stations.
@@ -21,7 +21,7 @@ import numpy as np
 
 from repro import obs
 from repro.core.link import LinkResult, LinkSimulator
-from repro.core.mc import run_trials
+from repro.core.mc import run_grid_trials
 from repro.errors import ConfigurationError
 from repro.utils.rng import as_generator
 from repro.utils.validation import require_snr_array, validate_link_run_args
@@ -108,7 +108,7 @@ class AbstractLink:
 
     def run(self, snr_db, n_packets=100, payload_bytes=100, *,
             precision=None, max_trials=None, confidence=0.95,
-            batch_size=1000, vectorized=None):
+            batch_size=1000):
         """Drop-in for :meth:`LinkSimulator.run`, Bernoulli-backed.
 
         Packet errors are drawn against the interpolated PER and bit
@@ -117,32 +117,28 @@ class AbstractLink:
         draws them independently — PER statistics are exact, joint
         bit/packet statistics are not). Arguments are validated by the
         same front door as the waveform path, so bad input fails with
-        identical messages; ``vectorized`` is accepted for signature
-        parity and ignored (the surrogate is always vectorized).
+        identical messages.
         """
         snr_db, n_packets, payload_bytes = validate_link_run_args(
             snr_db, n_packets, payload_bytes)
-        del vectorized
         per = float(self.per_at(snr_db, payload_bytes))
         ber = float(self.ber_at(snr_db, payload_bytes))
         n_bits_per_packet = 8 * payload_bytes
 
-        def trial_batch(rng, m):
-            errors = rng.random(m) < per
+        def trial_batch(lo, hi, points):
+            m = hi - lo
+            errors = int((self.rng.random(m) < per).sum())
             obs.counter("surrogate.packets", m)
-            return {
-                "packet_error": int(errors.sum()),
-                "bit_errors": int(rng.binomial(m * n_bits_per_packet, ber)),
-            }
+            bit_errors = int(self.rng.binomial(m * n_bits_per_packet, ber))
+            return {"packet_error": [errors], "bit_errors": [bit_errors]}
 
         with obs.span("surrogate.run", phy=self.phy_name,
                       channel=self.channel_name,
                       snr_db=float(snr_db)) as span:
-            mc = run_trials(trial_batch, n_trials=int(n_packets),
-                            target="packet_error", rng=self.rng,
-                            precision=precision, max_trials=max_trials,
-                            confidence=confidence, batch_size=batch_size,
-                            vectorized=True)
+            mc, = run_grid_trials(trial_batch, int(n_packets), 1,
+                                  target="packet_error",
+                                  precision=precision, max_trials=max_trials,
+                                  confidence=confidence, batch_size=batch_size)
             span.set(n_trials=mc.n_trials, stop_reason=mc.stop_reason)
         return LinkResult(
             phy=self.phy_name,
@@ -251,7 +247,7 @@ class WaveformLink:
         return self._result_at(snr_db).per_ci(confidence)
 
     def packet_success(self, snr_db, payload_bytes=None, rng=None):
-        """Bernoulli outcomes against the *measured* PER (vectorized)."""
+        """Bernoulli outcomes against the *measured* PER (array in, array out)."""
         rng = self.sim.rng if rng is None else as_generator(rng)
         per = self.per_at(snr_db, payload_bytes)
         if np.ndim(per) == 0:

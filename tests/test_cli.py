@@ -142,13 +142,13 @@ class TestTraceCli:
         assert "trace summary:" in out
         assert "mc.run_grid" in out and "mc.run_trials" not in out
 
-    def test_link_trace_names_per_packet_engine(self, capsys):
-        # Non-OFDM PHYs still run packet by packet through run_trials.
+    def test_link_trace_modem_runs_grid_engine(self, capsys):
+        # DSSS/CCK and FHSS points run through the same grid engine.
         assert main(["link", "dsss-1", "awgn", "6", "--packets", "3",
                      "--bytes", "20", "--trace"]) == 0
         out = capsys.readouterr().out
         assert "trace summary:" in out
-        assert "mc.run_trials" in out and "mc.run_grid" not in out
+        assert "mc.run_grid" in out and "mc.run_trials" not in out
 
 
 class TestWatchCli:

@@ -15,9 +15,13 @@ class TestConfiguration:
         sim = LinkSimulator(phy, "awgn", rng=0)
         assert sim.rate_mbps > 0
 
-    def test_unknown_phy_rejected(self):
+    @pytest.mark.parametrize("phy", [
+        "wimax-10", "fhss-3", "fhss-0", "fhss-x", "dsss-1.5", "cck-x",
+        "ofdm-6.0", "ht-x", "ht40-", "vht80-8-xx", "vht-1-x2-3", "dsss",
+        "dsss-1-2"])
+    def test_unknown_phy_rejected(self, phy):
         with pytest.raises(ConfigurationError):
-            LinkSimulator("wimax-10")
+            LinkSimulator(phy)
 
     def test_unknown_channel_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -30,6 +30,7 @@ from repro.phy.modulation import Modulator
 from repro.phy.ofdm import OFDM_RATES, OfdmPhy
 from repro.phy.ofdm_ldpc import LdpcOfdmPhy
 from repro.phy.scrambler import scrambler_sequence
+from tests.link_reference import reference_run
 
 GOLDENS_PATH = os.path.join(os.path.dirname(__file__), "goldens",
                             "phy_goldens.npz")
@@ -201,26 +202,39 @@ class TestLinkMcGoldens:
         ("ht-0", "awgn", -1.5, {"n_rx": 2}),
         ("vht-8-x2", "tgn-D", 28.0, {}),
         ("vht40-4-x3", "rayleigh", 16.0, {"n_rx": 4}),
+    ] + [
+        (phy, chan, snr, {})
+        for phy, snr in (("dsss-1", -3.0), ("dsss-2", 2.0), ("cck-5.5", 3.0),
+                         ("cck-11", 6.0), ("fhss-1", 10.0), ("fhss-2", 9.0))
+        for chan in ("awgn", "rayleigh", "tgn-C")
+    ] + [
+        # Adaptive: stops on precision after 6 batches of 4.
+        ("cck-11", "rayleigh", 10.0, {"precision": 0.5, "max_trials": 40}),
     ]
 
     def test_batched_matches_scalar_path(self, gold):
-        """The vectorized trial path equals the per-packet loop exactly.
+        """The engine equals the per-packet reference loop exactly.
 
-        Counts and the generator state after the run: the batched path
-        must draw exactly what the per-packet loop draws, in its order.
+        Counts, stop reason and the generator state after the run: the
+        batched path must draw exactly what the per-packet loop of
+        ``tests/link_reference.py`` draws, in its order.
         """
         for phy, chan, snr, kwargs in self.BATCHED_CASES:
-            fast_sim = LinkSimulator(phy, chan, rng=31, **kwargs)
-            slow_sim = LinkSimulator(phy, chan, rng=31, **kwargs)
+            run_kw = {k: v for k, v in kwargs.items()
+                      if k in ("precision", "max_trials")}
+            sim_kw = {k: v for k, v in kwargs.items() if k not in run_kw}
+            fast_sim = LinkSimulator(phy, chan, rng=31, **sim_kw)
+            slow_sim = LinkSimulator(phy, chan, rng=31, **sim_kw)
             fast = fast_sim.run(snr, n_packets=10, payload_bytes=50,
-                                batch_size=4)
-            slow = slow_sim.run(snr, n_packets=10, payload_bytes=50,
-                                batch_size=4, vectorized=False)
+                                batch_size=4, **run_kw)
+            slow = reference_run(slow_sim, snr, n_packets=10,
+                                 payload_bytes=50, batch_size=4, **run_kw)
             case = f"{phy}/{chan} {kwargs}"
             assert (fast.n_packets, fast.n_packet_errors,
                     fast.n_bit_errors) == (slow.n_packets,
                                            slow.n_packet_errors,
                                            slow.n_bit_errors), case
+            assert fast.mc.stop_reason == slow.mc.stop_reason, case
             assert fast_sim.rng.bit_generator.state == \
                    slow_sim.rng.bit_generator.state, case
 
