@@ -49,11 +49,23 @@ Record schema (one per point, stored as a JSONL line)::
       "error_type":   exception class name when outcome != "ok" else None,
       "traceback":    traceback text when outcome == "error" else None,
       "attempts":     attempts consumed (1 when the first try settled it),
-      "wall_time_s":  per-point wall time across all attempts; cache
-                      hits carry 0.0 (this run did no work for them)
-                      plus ``"cached": true``,
+      "wall_time_s":  per-point wall time across all attempts; a point
+                      run in its kind's batch form carries an even share
+                      of the batch's wall time plus ``"batched": true``;
+                      cache hits carry 0.0 (this run did no work for
+                      them) plus ``"cached": true``,
       "worker":       pid of the process that ran it,
     }
+
+Batch forms: a kind may register one (``register_point_kind(...,
+batch=)``). An inline run without a timeout hands all of the kind's
+uncached points to it in one call — each point still draws from its own
+attempt-0 generator and gets its own record and cache key — and falls
+back to per-point execution when the batch raises. Its records reach
+the store together when it returns, so a run killed mid-batch re-runs
+the batch's points on resume. Queue workers always run points one by
+one. ``surface-link`` registers one, so an inline surface build decodes
+each rate's cells together.
 
 Telemetry: when :func:`run_campaign` is called with ``trace=True`` (or
 an ambient :mod:`repro.obs` tracer is installed) the run emits spans —
@@ -86,16 +98,27 @@ from repro.obs import metrics as obs_metrics
 # -- point-kind registry -----------------------------------------------------
 
 _POINT_KINDS = {}
+_BATCH_FORMS = {}
 
 
-def register_point_kind(kind, func, code_version="1"):
+def register_point_kind(kind, func, code_version="1", batch=None):
     """Register ``func`` as the executor for points of ``kind``.
 
     ``code_version`` is part of every point's cache key: bump it whenever
     the function's output for identical inputs changes, so persisted
     results from the old code stop being served.
+
+    ``batch`` is an optional batch form, ``batch(params_list, rngs) ->
+    list of metrics``: the metrics ``func`` returns for each
+    ``(params, rng)`` pair, computed in one call. Inline runs hand it
+    every uncached point (see :func:`_execute_batch`), so it must agree
+    with ``func`` bit for bit; queue workers always run ``func``.
     """
     _POINT_KINDS[kind] = (func, str(code_version))
+    if batch is None:
+        _BATCH_FORMS.pop(kind, None)
+    else:
+        _BATCH_FORMS[kind] = batch
 
 
 def point_kinds():
@@ -118,6 +141,43 @@ def _lookup_kind(kind):
 # Imports are deferred into the functions so that importing the campaign
 # package stays cheap and queue workers only pay for what they run.
 
+def _link_options(params):
+    """The run options a link point's ``params`` set, as keywords."""
+    precision = params.get("precision")
+    max_trials = params.get("max_trials")
+    floor = params.get("analytic_floor")
+    return {
+        "n_packets": int(params.get("n_packets", 100)),
+        "payload_bytes": int(params.get("payload_bytes", 100)),
+        "precision": float(precision) if precision is not None else None,
+        "max_trials": int(max_trials) if max_trials is not None else None,
+        "confidence": float(params.get("confidence", 0.95)),
+        "analytic_floor": float(floor) if floor is not None else None,
+    }
+
+
+def _link_metrics(result, confidence):
+    """A link point's record metrics from its :class:`LinkResult`."""
+    per_lo, per_hi = result.per_ci(confidence)
+    ber_lo, ber_hi = result.ber_ci(confidence)
+    return {
+        "per": result.per,
+        "per_ci_low": per_lo,
+        "per_ci_high": per_hi,
+        "ber": result.ber,
+        "ber_ci_low": ber_lo,
+        "ber_ci_high": ber_hi,
+        "goodput_mbps": result.goodput_mbps,
+        "rate_mbps": result.rate_mbps,
+        "n_packets": result.n_packets,
+        "n_packet_errors": result.n_packet_errors,
+        "n_bit_errors": result.n_bit_errors,
+        "n_trials": result.mc.n_trials,
+        "stop_reason": result.mc.stop_reason,
+        "confidence": confidence,
+    }
+
+
 def _run_link_point(params, rng):
     """One PER/BER measurement: LinkSimulator(phy, channel) at one SNR.
 
@@ -137,37 +197,38 @@ def _run_link_point(params, rng):
         detector=params.get("detector", "mmse"),
         rng=rng,
     )
-    precision = params.get("precision")
-    max_trials = params.get("max_trials")
-    floor = params.get("analytic_floor")
-    confidence = float(params.get("confidence", 0.95))
-    result = sim.run(
-        float(params["snr_db"]),
-        n_packets=int(params.get("n_packets", 100)),
-        payload_bytes=int(params.get("payload_bytes", 100)),
-        precision=float(precision) if precision is not None else None,
-        max_trials=int(max_trials) if max_trials is not None else None,
-        confidence=confidence,
-        analytic_floor=float(floor) if floor is not None else None,
-    )
-    per_lo, per_hi = result.per_ci(confidence)
-    ber_lo, ber_hi = result.ber_ci(confidence)
-    return {
-        "per": result.per,
-        "per_ci_low": per_lo,
-        "per_ci_high": per_hi,
-        "ber": result.ber,
-        "ber_ci_low": ber_lo,
-        "ber_ci_high": ber_hi,
-        "goodput_mbps": result.goodput_mbps,
-        "rate_mbps": result.rate_mbps,
-        "n_packets": result.n_packets,
-        "n_packet_errors": result.n_packet_errors,
-        "n_bit_errors": result.n_bit_errors,
-        "n_trials": result.mc.n_trials,
-        "stop_reason": result.mc.stop_reason,
-        "confidence": confidence,
-    }
+    options = _link_options(params)
+    result = sim.run(float(params["snr_db"]), **options)
+    return _link_metrics(result, options["confidence"])
+
+
+def _run_link_points(params_list, rngs):
+    """Batch form of :func:`_run_link_point`.
+
+    Points whose params differ only in ``phy`` and ``snr_db`` run as the
+    columns of one :func:`~repro.core.link.run_link_points` call, each
+    on its own generator, so every point's metrics are those
+    :func:`_run_link_point` records for it.
+    """
+    from repro.core.link import run_link_points
+
+    groups = {}
+    for i, params in enumerate(params_list):
+        shared = sorted((k, repr(v)) for k, v in params.items()
+                        if k not in ("phy", "snr_db"))
+        groups.setdefault(repr(shared), []).append(i)
+    metrics = [None] * len(params_list)
+    for members in groups.values():
+        params = params_list[members[0]]
+        options = _link_options(params)
+        results = run_link_points(
+            [(params_list[i]["phy"], float(params_list[i]["snr_db"]),
+              rngs[i]) for i in members],
+            channel=params.get("channel", "awgn"), n_rx=params.get("n_rx"),
+            detector=params.get("detector", "mmse"), **options)
+        for i, result in zip(members, results):
+            metrics[i] = _link_metrics(result, options["confidence"])
+    return metrics
 
 
 def _run_link_grid_point(params, rng):
@@ -272,7 +333,11 @@ register_point_kind("dcf", _run_dcf_point, code_version="2")
 # function — a cell *is* one PER/BER measurement — but carry their own
 # kind so surface campaigns are addressable in the store and their
 # cache keys can evolve independently of ad-hoc link sweeps.
-register_point_kind("surface-link", _run_link_point, code_version="1")
+# Inline surface builds run every uncached cell through the batch form:
+# a rate's cells share its transmit and receive calls, while each cell
+# keeps its own generator, record and cache key.
+register_point_kind("surface-link", _run_link_point, code_version="1",
+                    batch=_run_link_points)
 
 # Snapshot of the registry as a fresh import creates it. A worker
 # spawned (rather than forked) re-imports this module and gets exactly
@@ -438,6 +503,15 @@ def _execute_point_impl(kind, campaign, base_seed, index, params, key,
             if outcome != "error":
                 break
         exec_span.set(outcome=outcome, attempts=attempts)
+    return _point_record(kind, campaign, code_version, base_seed, index,
+                         params, key, metrics, clock.seconds, outcome,
+                         error, error_type, tb_text, attempts)
+
+
+def _point_record(kind, campaign, code_version, base_seed, index, params,
+                  key, metrics, wall_time_s, outcome="ok", error=None,
+                  error_type=None, tb_text=None, attempts=1):
+    """One point's record (see the module docstring for the schema)."""
     return {
         "key": key,
         "campaign": campaign,
@@ -452,9 +526,50 @@ def _execute_point_impl(kind, campaign, base_seed, index, params, key,
         "error_type": error_type,
         "traceback": tb_text,
         "attempts": attempts,
-        "wall_time_s": clock.seconds,
+        "wall_time_s": wall_time_s,
         "worker": os.getpid(),
     }
+
+
+def _execute_batch(kind, campaign, base_seed, todo, retries):
+    """Run the ``(key, point)`` pairs of ``todo`` through ``kind``'s batch
+    form; yields one record per point, in ``todo`` order.
+
+    Each point draws from its own attempt-0 generator, as the first try
+    of :func:`_execute_point` does, so its metrics — and its record,
+    which carries ``batched: true`` — are those a per-point run
+    records; its ``wall_time_s`` is an even share of the batch's wall
+    time. A batch that raises (or returns the wrong number of metrics)
+    re-runs every point one by one through :func:`_execute_point`,
+    which records errors, tracebacks and retries as for any point.
+    """
+    batch = _BATCH_FORMS[kind]
+    _, code_version = _lookup_kind(kind)
+    with obs.span("campaign.batch", kind=kind, campaign=campaign,
+                  n_points=len(todo)) as span, obs.timed() as clock:
+        try:
+            metrics = batch(
+                [pt.params for _, pt in todo],
+                [attempt_generator(base_seed, pt.index, 0)
+                 for _, pt in todo])
+            if len(metrics) != len(todo):
+                raise ConfigurationError(
+                    f"batch form of {kind!r} returned {len(metrics)} "
+                    f"results for {len(todo)} points")
+            span.set(outcome="ok")
+        except Exception as exc:
+            span.set(outcome="error", error_type=type(exc).__name__)
+            metrics = None
+    if metrics is None:
+        for key, pt in todo:
+            yield _execute_point(kind, campaign, base_seed, pt.index,
+                                 pt.params, key, retries)
+        return
+    share = clock.seconds / len(todo)
+    for (key, pt), point_metrics in zip(todo, metrics):
+        yield dict(_point_record(kind, campaign, code_version, base_seed,
+                                 pt.index, pt.params, key, point_metrics,
+                                 share), batched=True)
 
 
 @dataclass
@@ -747,11 +862,14 @@ def _run_campaign_impl(spec, workers, store, force, say, retries,
             # The span's duration is submit-to-finish latency as the
             # orchestrator saw it; ``exec_s`` is the time the point
             # actually computed — the gap is queueing + transport.
+            batched = ({"batched": True,
+                        "n_trials": record["metrics"].get("n_trials")}
+                       if record.get("batched") else {})
             obs.event("campaign.point", clock.elapsed - t_submit,
                       index=record["index"], outcome=record["outcome"],
                       attempts=record.get("attempts", 1), cached=False,
                       exec_s=record["wall_time_s"],
-                      worker=record["worker"])
+                      worker=record["worker"], **batched)
             obs.counter(f"campaign.outcome.{record['outcome']}")
             extra = (record.get("attempts") or 1) - 1
             if extra > 0:
@@ -771,11 +889,20 @@ def _run_campaign_impl(spec, workers, store, force, say, retries,
         else:
             if board is not None and todo:
                 board.set_running(1)
-            for key, pt in todo:
+            if todo and spec.kind in _BATCH_FORMS and not timeout_s:
+                # A kind's batch form runs its uncached points in one
+                # call; a timeout is per point, so it runs them singly.
                 t_submit = clock.elapsed
-                finish(_execute_point(spec.kind, spec.name, spec.base_seed,
-                                      pt.index, pt.params, key,
-                                      retries, timeout_s), t_submit)
+                for record in _execute_batch(spec.kind, spec.name,
+                                             spec.base_seed, todo, retries):
+                    finish(record, t_submit)
+            else:
+                for key, pt in todo:
+                    t_submit = clock.elapsed
+                    finish(_execute_point(spec.kind, spec.name,
+                                          spec.base_seed, pt.index,
+                                          pt.params, key, retries,
+                                          timeout_s), t_submit)
 
         elapsed = clock.elapsed
         run_span.set(n_cached=n_cached, n_executed=len(todo),

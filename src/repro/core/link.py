@@ -359,8 +359,9 @@ class LinkSimulator:
                       snr_db=float(snr_db)) as span, obs.timed() as clock:
             # Python's scalar power, as the seed-era loop computed it;
             # numpy's array power can differ in the last bit.
-            grid_fn = _grid_fn([self], [10.0 ** (snr_db / 10.0)],
-                               payload_bytes, SerialDraws(self))
+            grid_fn = _grid_fn(
+                [(self, 10.0 ** (snr_db / 10.0), SerialDraws(self))],
+                payload_bytes)
             mc, = run_grid_trials(
                 grid_fn, n_packets, 1, target="packet_error",
                 batch_size=batch_size, confidence=confidence,
@@ -490,9 +491,12 @@ class _BitModem:
         return self._n_samples(8 * psdu_bytes)
 
     def transmit_batch(self, psdus):
-        """``(m, n)`` waveforms, one modulated row per PSDU."""
-        return np.stack([self.modem.modulate(bits_from_bytes(psdu))
-                         for psdu in psdus])
+        """``(m, n)`` waveforms of equal-length PSDUs, one row each."""
+        out = np.empty((len(psdus), self.n_samples(len(psdus[0]))),
+                       dtype=np.complex128)
+        for row, psdu in zip(out, psdus):
+            row[:] = self.modem.modulate(bits_from_bytes(psdu))
+        return out
 
     def receive_batch(self, samples, noise_vars, psdu_bytes):
         """One PSDU (or ``None`` on a failed decode) per received row."""
@@ -561,11 +565,12 @@ class TrialSubstreams:
 
 
 class SerialDraws:
-    """Per-point draws from one simulator's generator, packet by packet.
+    """Per-point draws from one generator, packet by packet.
 
-    Each packet consumes ``sim.rng`` in the seed-era serial order:
-    payload bytes, then the channel realisation, then the noise normals
-    — real block, then imaginary block, over the PHY's receive shape, as
+    Each packet consumes ``rng`` (by default ``sim.rng``) in the
+    seed-era serial order: payload bytes, then the channel realisation
+    of ``sim``'s channel, then the noise normals — real block, then
+    imaginary block, over the PHY's receive shape, as
     :func:`~repro.channel.awgn.awgn_noise` draws them (noise is scaled
     after drawing, so it can be drawn before the transmit power is
     known). A batched run therefore leaves the generator, and every
@@ -573,8 +578,9 @@ class SerialDraws:
     size.
     """
 
-    def __init__(self, sim):
+    def __init__(self, sim, rng=None):
         self.sim = sim
+        self.rng = sim.rng if rng is None else rng
         # OFDM waveforms are 1-D; the others are (n_rx, n) per packet.
         self.lead = () if sim._kind == "ofdm" else (sim.n_rx,)
 
@@ -584,7 +590,7 @@ class SerialDraws:
         ``propagate`` applies each packet's own channel realisation to
         its row of a ``(m, [n_tx,] n)`` transmit batch.
         """
-        rng = self.sim.rng
+        rng = self.rng
         shape = self.lead + (n_samples,)
         payloads, channels = [], []
         noise = np.empty((hi - lo,) + shape, dtype=np.complex128)
@@ -594,41 +600,73 @@ class SerialDraws:
             noise[i] = rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
         def propagate(tx):
-            rx = np.stack([channel(np.atleast_2d(row))
-                           for channel, row in zip(channels, tx)])
-            return rx.reshape(noise.shape[:-1] + (tx.shape[-1],))
+            rx = np.empty(noise.shape[:-1] + (tx.shape[-1],),
+                          dtype=np.complex128)
+            for i, (channel, row) in enumerate(zip(channels, tx)):
+                rx[i] = channel(np.atleast_2d(row)).reshape(rx.shape[1:])
+            return rx
         return payloads, propagate, noise
 
 
-def _grid_fn(sims, snr_lin, payload_bytes, source):
+def _add_noise(out, rx_clean, power, noise, snr_lin):
+    """Write ``rx_clean`` plus ``noise`` scaled to ``snr_lin`` into ``out``.
+
+    ``power`` holds each row's transmit power; returns the rows' noise
+    variances. The product is formed in ``out`` first: addition
+    commutes, so the sum is bit for bit ``rx_clean + scale * noise``.
+    """
+    noise_var = power / snr_lin
+    scale = np.sqrt(noise_var / 2.0)
+    np.multiply(scale.reshape(scale.shape + (1,) * (out.ndim - 1)), noise,
+                out=out)
+    out += rx_clean
+    return noise_var
+
+
+def _grid_fn(columns, payload_bytes):
     """The :func:`run_grid_trials` trial function of a link grid.
 
-    Column ``p * len(snr_lin) + s`` is PHY ``sims[p]`` at linear SNR
-    ``snr_lin[s]``. Each call draws its trials once from ``source`` (a
-    :class:`TrialSubstreams` or :class:`SerialDraws`), transmits them
-    once per PHY, and decodes a PHY's SNR columns stacked in one
-    receive call as far as :data:`GRID_ROW_STEPS` allows. An HT/VHT
-    packet is an ``(n_tx, n)`` transmit row and an ``(n_rx, n)``
-    receive row; a DSSS/CCK or FHSS packet is a chip or sample row of
-    its :class:`_BitModem`.
+    Column ``k`` is ``columns[k] = (sim, snr_lin, source)``: PHY
+    ``sim._phy`` at linear SNR ``snr_lin``, its packets drawn from
+    ``source`` — a :class:`TrialSubstreams` that several columns share,
+    or a :class:`SerialDraws` of its own. Each call draws every distinct
+    source once, sized for the longest PHY it serves; transmits a PHY's
+    packets once, one batch for all of its columns' sources; and decodes
+    its columns stacked in one receive call as far as
+    :data:`GRID_ROW_STEPS` allows, adding each column's noise in place
+    into the stacked receive block. A source's draws are released as
+    soon as its last column is in a receive block, so a PHY's receive
+    holds only its own rows. An HT/VHT packet is an ``(n_tx, n)``
+    transmit row and an ``(n_rx, n)`` receive row; a DSSS/CCK or FHSS
+    packet is a chip or sample row of its :class:`_BitModem`.
     """
-    n_snr = len(snr_lin)
-    lengths = [sim._phy.n_samples(payload_bytes) for sim in sims]
-    n_max = max(lengths)
+    sizes = {}
+    for sim, _, source in columns:
+        sizes[id(source)] = max(sizes.get(id(source), 0),
+                                sim._phy.n_samples(payload_bytes))
 
     def grid_fn(lo, hi, points):
         m = hi - lo
-        payloads, propagate, noise = source.draw(lo, hi, payload_bytes, n_max)
         pkt = np.zeros(points.size, dtype=np.int64)
         bits = np.zeros(points.size, dtype=np.int64)
         by_phy = {}
+        pending = {}  # source -> columns of this call not yet received
         for k, idx in enumerate(points):
-            p, s = divmod(int(idx), n_snr)
-            by_phy.setdefault(p, []).append((k, s))
-        for p, cols in sorted(by_phy.items()):
-            phy = sims[p]._phy
-            n = lengths[p]
-            tx = phy.transmit_batch(payloads)  # (m, [n_tx,] n), shared by SNRs
+            sim, snr, source = columns[int(idx)]
+            by_phy.setdefault(id(sim), (sim, []))[1].append((k, snr, source))
+            pending[id(source)] = pending.get(id(source), 0) + 1
+        drawn = {}
+        for sim, cols in by_phy.values():
+            phy = sim._phy
+            n = phy.n_samples(payload_bytes)
+            sources = list({id(src): src for _, _, src in cols}.values())
+            for src in sources:
+                if id(src) not in drawn:
+                    drawn[id(src)] = src.draw(lo, hi, payload_bytes,
+                                              sizes[id(src)])
+            # (len(sources) * m, [n_tx,] n): one transmit for the PHY.
+            tx = phy.transmit_batch(
+                [p for src in sources for p in drawn[id(src)][0]])
             # SNR convention: *average* received SNR. Channels have unit
             # mean gain per antenna pair, so the expected receive power
             # per antenna equals the total transmit power; scaling noise
@@ -637,15 +675,19 @@ def _grid_fn(sims, snr_lin, payload_bytes, source):
             # experiments. One whole-packet mean per row: an axis
             # reduction over (n_tx, n) may sum in another order.
             power = np.array([np.mean(np.abs(row) ** 2) for row in tx]) \
-                * sims[p].n_tx
-            if sims[p]._kind == "ofdm":
+                * sim.n_tx
+            clean = {id(src): (drawn[id(src)][1](tx[j * m:(j + 1) * m]),
+                               power[j * m:(j + 1) * m])
+                     for j, src in enumerate(sources)}
+            del tx
+            if sim._kind == "ofdm":
                 n_dbps = phy.rate.n_dbps
                 receive = phy.receive_batch
             else:
                 n_dbps = phy.n_dbps
                 receive = functools.partial(phy.receive_batch,
                                             psdu_bytes=payload_bytes)
-            rx_clean = propagate(tx)
+            rx_shape = next(iter(clean.values()))[0].shape[1:]
             # Every row decodes independently, so the rate's SNR columns
             # share one receive call (one detection and one data trellis
             # sweep) as far as the row budget allows.
@@ -654,17 +696,23 @@ def _grid_fn(sims, snr_lin, payload_bytes, source):
             for first in range(0, len(cols), per_call):
                 block = cols[first:first + per_call]
                 noise_var = np.empty(len(block) * m)
-                rx = np.empty((len(block) * m,) + rx_clean.shape[1:],
+                rx = np.empty((len(block) * m,) + rx_shape,
                               dtype=np.complex128)
-                for j, (_, s) in enumerate(block):
+                sent = []
+                for j, (_, snr, src) in enumerate(block):
                     rows = slice(j * m, (j + 1) * m)
-                    noise_var[rows] = power / snr_lin[s]
-                    scale = np.sqrt(noise_var[rows] / 2.0)
-                    rx[rows] = (rx_clean + scale.reshape(
-                        (m,) + (1,) * (rx_clean.ndim - 1)) * noise[..., :n])
+                    noise_var[rows] = _add_noise(
+                        rx[rows], *clean[id(src)],
+                        drawn[id(src)][2][..., :n], snr)
+                    sent.append(drawn[id(src)][0])
+                    pending[id(src)] -= 1
+                    if not pending[id(src)]:
+                        del drawn[id(src)]
+                if first + per_call >= len(cols):
+                    clean = None  # the PHY's last block: free before decoding
                 psdus = receive(rx, noise_var)
-                for j, (k, _) in enumerate(block):
-                    for payload, got in zip(payloads,
+                for j, (k, _, _) in enumerate(block):
+                    for payload, got in zip(sent[j],
                                             psdus[j * m:(j + 1) * m]):
                         if got is None:
                             errs = 8 * len(payload)
@@ -751,8 +799,9 @@ def run_link_grid(phys, snr_values_db, n_packets=100, payload_bytes=100, *,
     # One draw regardless of grid shape or execution mode: the entropy
     # seeds per-trial substreams, so draws depend only on the trial index.
     entropy = int(as_generator(rng).integers(0, 2 ** 63))
-    grid_fn = _grid_fn(sims, 10.0 ** (snrs / 10.0), payload_bytes,
-                       TrialSubstreams(entropy, channel))
+    source = TrialSubstreams(entropy, channel)
+    grid_fn = _grid_fn([(sim, snr_lin, source) for sim in sims
+                        for snr_lin in 10.0 ** (snrs / 10.0)], payload_bytes)
 
     bounds = {}
     for p, sim in enumerate(sims):
@@ -794,3 +843,61 @@ def run_link_grid(phys, snr_values_db, n_packets=100, payload_bytes=100, *,
                          bounds.get(p * n_snr + s), floor)
              for s, snr in enumerate(snrs)]
             for p, sim in enumerate(sims)]
+
+
+def run_link_points(points, n_packets=100, payload_bytes=100, *,
+                    channel="awgn", n_rx=None, detector="mmse",
+                    precision=None, max_trials=None, confidence=0.95,
+                    batch_size=50, analytic_floor=None):
+    """Many independent :meth:`LinkSimulator.run` points in one grid call.
+
+    ``points`` is a sequence of ``(phy, snr_db, rng)``. Each point is a
+    column of one :func:`run_grid_trials` call with a
+    :class:`SerialDraws` on its own generator, its own noise scaling
+    (Python's scalar ``10.0 ** (snr_db / 10.0)``, as :meth:`run`
+    computes it) and its own stopping rule, so ``results[i]`` equals
+    ``LinkSimulator(phy, channel, n_rx, detector, rng).run(snr_db, ...)``
+    with the same options bit for bit: counts, interval, stop reason and
+    the generator's final state. What the points share is kernel work —
+    per trial batch, a PHY's points transmit in one batch and decode in
+    one receive call (for OFDM one SIGNAL and one data trellis sweep).
+    Points whose union bound clears ``analytic_floor`` send no packets,
+    as in :meth:`run`.
+    """
+    points = list(points)
+    if not points:
+        raise ConfigurationError("run_link_points needs at least one point")
+    _, n_packets, payload_bytes = validate_link_run_args(
+        0.0, n_packets, payload_bytes)
+    floor = _analytic_floor(analytic_floor)
+    sims, cells, columns = {}, [], []
+    for phy, snr_db, rng in points:
+        snr_db, _, _ = validate_link_run_args(snr_db, n_packets,
+                                              payload_bytes)
+        sim = sims.get(phy)
+        if sim is None:
+            sim = sims[phy] = LinkSimulator(phy, channel, n_rx=n_rx,
+                                            detector=detector)
+        cells.append((sim, snr_db,
+                      sim._analytic_cell(snr_db, payload_bytes, floor)))
+        columns.append((sim, 10.0 ** (snr_db / 10.0),
+                        SerialDraws(sim, as_generator(rng))))
+    analytic = {i: bounds["per"] for i, (_, _, bounds) in enumerate(cells)
+                if bounds is not None}
+    if analytic:
+        obs.counter("link.analytic_points", len(analytic))
+
+    with obs.span("link.points", n_points=len(cells), n_phys=len(sims),
+                  channel=channel,
+                  n_analytic=len(analytic)) as span, obs.timed() as clock:
+        mcs = run_grid_trials(
+            _grid_fn(columns, payload_bytes), n_packets, len(columns),
+            target="packet_error", batch_size=batch_size, analytic=analytic,
+            confidence=confidence, precision=precision,
+            max_trials=max_trials)
+        sent = sum(mc.n_trials for mc in mcs)
+        span.set(n_packets=sent,
+                 packets_per_s=(sent / clock.elapsed
+                                if clock.elapsed > 0 else 0.0))
+    return [sim._result(snr_db, payload_bytes, mc, bounds, floor)
+            for (sim, snr_db, bounds), mc in zip(cells, mcs)]

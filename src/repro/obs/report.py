@@ -83,6 +83,27 @@ def _mc_by_point(events):
     return per_point
 
 
+def _first_points(points):
+    """``{worker: event}``: the first executed point of each worker.
+
+    Workers run their points one after another and the orchestrator
+    records each as it finishes, so a worker's first point is its
+    earliest ``campaign.point`` event.
+    """
+    firsts = {}
+    for event in points:
+        attrs = event.get("attrs") or {}
+        worker = attrs.get("worker")
+        if attrs.get("cached") or worker is None:
+            continue
+        first = firsts.get(worker)
+        order = (event.get("t_wall") or 0.0, event.get("seq") or 0)
+        if first is None or order < (first.get("t_wall") or 0.0,
+                                     first.get("seq") or 0):
+            firsts[worker] = event
+    return firsts
+
+
 def summary_table(summary, max_rows=None):
     """Aligned per-span-name totals table from an aggregate/summary dict.
 
@@ -165,26 +186,35 @@ def trace_report_lines(events, top=10, campaign=None):
                      f"{failures} point(s) not ok")
 
     if points:
+        firsts = _first_points(points)
         lines.append("")
         lines.append("per-point timing:")
         lines.append(f"{'point':>6} {'outcome':<8} {'att':>3} {'cached':>6}"
-                     f" {'wall_s':>8} {'mc_trials':>9} {'trials/s':>9}")
+                     f" {'wall_s':>8}  {'mc_trials':>9} {'trials/s':>9}")
         for event in points:
             attrs = event.get("attrs") or {}
             idx = attrs.get("index")
-            mc = mc_points.get(idx, {})
-            trials = mc.get("trials", 0)
-            span_s = mc.get("span_s", 0.0)
-            rate = f"{trials / span_s:>9.0f}" if trials and span_s \
-                else f"{'--':>9}"
             wall = float(attrs.get("exec_s")
                          if attrs.get("exec_s") is not None
                          else event.get("dur_s") or 0.0)
+            mc = mc_points.get(idx, {})
+            trials = mc.get("trials", 0)
+            span_s = mc.get("span_s", 0.0)
+            if not trials and attrs.get("batched"):
+                # A batched point's MC ran in its batch's one grid; its
+                # record carries its trials and its share of the time.
+                trials, span_s = int(attrs.get("n_trials") or 0), wall
+            rate = f"{trials / span_s:>9.0f}" if trials and span_s \
+                else f"{'--':>9}"
+            mark = "*" if event is firsts.get(attrs.get("worker")) else " "
             lines.append(
                 f"{idx!s:>6} {attrs.get('outcome', '?'):<8}"
                 f" {attrs.get('attempts', 1)!s:>3}"
                 f" {('yes' if attrs.get('cached') else 'no'):>6}"
-                f" {wall:>8.3f} {trials or '--':>9} {rate}")
+                f" {wall:>8.3f}{mark} {trials or '--':>9} {rate}")
+        if firsts:
+            lines.append("  * first point its worker ran: wall_s may "
+                         "include start-up (imports, plan caches)")
 
     slowest = sorted((e for e in events if e.get("type") == "span"),
                      key=lambda e: -(e.get("dur_s") or 0.0))[:int(top)]

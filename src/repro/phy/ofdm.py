@@ -153,6 +153,15 @@ def long_training_field():
 
 
 PREAMBLE_SAMPLES = 320  # STF + LTF
+
+#: Sample budget of one receive front-end block, so a stacked batch
+#: holds no more scratch than a block whatever its row count. A DATA
+#: symbol costs its 80 time samples plus its 48 x 2^bits demapper
+#: distances (the max-log distance matrix, not the waveform, dominates
+#: at 64-QAM); the front end's peak is ~3 MB per 100k of these. A
+#: 1500-byte row costs 88k at 6 Mbps and 176k at 54 Mbps, so a block
+#: holds two such 6 Mbps rows or one 54 Mbps row.
+RX_BLOCK_BUDGET = 1 << 18
 _LTF_FREQ = np.array([LTF_SEQUENCE[k] for k in _ALL_USED])
 
 
@@ -343,9 +352,9 @@ class OfdmPhy:
     def _fft_symbols(blocks):
         """Strip the CP and FFT a stack of 80-sample symbols along the last axis."""
         body = blocks[..., OFDM_CP_LENGTH:OFDM_SYMBOL_SAMPLES]
-        return np.fft.fft(body, axis=-1) * (
-            np.sqrt(len(_USED_BINS)) / OFDM_FFT_SIZE
-        )
+        freq = np.fft.fft(body, axis=-1)
+        freq *= np.sqrt(len(_USED_BINS)) / OFDM_FFT_SIZE
+        return freq
 
     def estimate_channel(self, ltf_samples):
         """LS channel estimate on the 52 used subcarriers from the LTF."""
@@ -419,6 +428,40 @@ class OfdmPhy:
         psdus, _, _ = self._receive_rows(samples, noise_vars)
         return psdus
 
+    def _data_soft_bits(self, rows, row_ids, h, nv_data, cursor, n_sym):
+        """Deinterleaved DATA-field LLRs of ``rows[row_ids]``.
+
+        FFT, pilot common-phase correction, equalisation, soft demapping
+        and deinterleaving for ``n_sym`` symbols from sample ``cursor``;
+        ``nv_data`` holds the rows' per-data-carrier noise variances.
+        """
+        g = row_ids.size
+        # Each stage drops its input as it goes: this is the receive
+        # chain's memory high-water mark.
+        freq = self._fft_symbols(rows[
+            row_ids, cursor : cursor + n_sym * OFDM_SYMBOL_SAMPLES
+        ].reshape(g, n_sym, OFDM_SYMBOL_SAMPLES))
+        hg = h[row_ids]
+        # Common phase error from the four pilots, per row and symbol.
+        polarity = _POLARITY[(np.arange(n_sym) + 1) % 127]
+        expected = (
+            _PILOT_BASE[None, None, :] * polarity[None, :, None]
+        ) * hg[:, None, :][:, :, _PILOT_BINS]
+        cpe = np.angle(
+            np.sum(freq[:, :, _PILOT_BINS] * np.conj(expected), axis=2)
+        )
+        freq *= np.exp(-1j * cpe)[:, :, None]
+        eq = freq[:, :, _DATA_BINS] / hg[:, None, :][:, :, _DATA_BINS]
+        del freq
+        nv = np.broadcast_to(nv_data[:, None, :], eq.shape)
+        llr = self.modulator.demodulate_soft(
+            eq.ravel(), np.ascontiguousarray(nv).ravel()
+        )
+        return deinterleave(
+            llr.reshape(g, n_sym * self.rate.n_cbps),
+            self.rate.n_cbps, self.rate.bits_per_subcarrier,
+        )
+
     def _receive_rows(self, rows, noise_vars):
         """Shared vectorized receiver over a (batch, n_samples) block.
 
@@ -490,34 +533,23 @@ class OfdmPhy:
                 continue
             groups.setdefault(psdu_len, []).append((pos, int(i)))
 
+        n_cbps = self.rate.n_cbps
         for psdu_len, members in groups.items():
             row_ids = np.array([i for _, i in members])
             positions = np.array([pos for pos, _ in members])
             n_sym = self.n_symbols(psdu_len)
             g = row_ids.size
-            blocks = rows[
-                row_ids, cursor : cursor + n_sym * OFDM_SYMBOL_SAMPLES
-            ].reshape(g, n_sym, OFDM_SYMBOL_SAMPLES)
-            freq = self._fft_symbols(blocks)
-            hg = h[row_ids]
-            # Common phase error from the four pilots, per row and symbol.
-            polarity = _POLARITY[(np.arange(n_sym) + 1) % 127]
-            expected = (
-                _PILOT_BASE[None, None, :] * polarity[None, :, None]
-            ) * hg[:, None, :][:, :, _PILOT_BINS]
-            cpe = np.angle(
-                np.sum(freq[:, :, _PILOT_BINS] * np.conj(expected), axis=2)
-            )
-            freq = freq * np.exp(-1j * cpe)[:, :, None]
-            eq = freq[:, :, _DATA_BINS] / hg[:, None, :][:, :, _DATA_BINS]
-            nv = np.broadcast_to(nv_data[positions][:, None, :], eq.shape)
-            llr = self.modulator.demodulate_soft(
-                eq.ravel(), np.ascontiguousarray(nv).ravel()
-            )
-            soft = deinterleave(
-                llr.reshape(g, n_sym * self.rate.n_cbps),
-                self.rate.n_cbps, self.rate.bits_per_subcarrier,
-            )
+            # The front end runs in row blocks, each within the budget,
+            # into one soft-bit matrix that a single trellis sweep reads.
+            soft = np.empty((g, n_sym * n_cbps))
+            entries = n_sym * (OFDM_SYMBOL_SAMPLES + (
+                OFDM_DATA_SUBCARRIERS << self.rate.bits_per_subcarrier))
+            per_block = max(1, RX_BLOCK_BUDGET // entries)
+            for first in range(0, g, per_block):
+                part = slice(first, first + per_block)
+                soft[part] = self._data_soft_bits(
+                    rows, row_ids[part], h, nv_data[positions[part]],
+                    cursor, n_sym)
             # The tail sits between PSDU and pad, so the trellis does not
             # end in state zero: decode the whole field unterminated (still
             # ML over the payload region).

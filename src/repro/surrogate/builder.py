@@ -9,6 +9,14 @@ grid only pays for the new cells), fault isolation with retries, and
 :mod:`repro.obs` tracing. The builder's own job is small: lay the grid
 out, run it, fold the records into a :class:`PerSurface`, and persist
 it next to the campaign's records.
+
+Inline builds (``workers=1``) run every uncached cell in one call of the
+kind's batch form, :func:`~repro.core.link.run_link_points`: each cell
+is a grid column on its own per-point generator, and a rate's cells
+share one transmit and one receive call per trial batch (one SIGNAL and
+one data trellis sweep), so the cells come out bit-identical to a
+``workers > 1`` build, which runs them one by one on the queue. The
+cache unit is still the cell.
 """
 
 from __future__ import annotations
