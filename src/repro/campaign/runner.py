@@ -51,21 +51,24 @@ Record schema (one per point, stored as a JSONL line)::
       "attempts":     attempts consumed (1 when the first try settled it),
       "wall_time_s":  per-point wall time across all attempts; a point
                       run in its kind's batch form carries an even share
-                      of the batch's wall time plus ``"batched": true``;
+                      of its batch row's wall time, start-up included,
+                      plus ``"batched": true``;
                       cache hits carry 0.0 (this run did no work for
                       them) plus ``"cached": true``,
       "worker":       pid of the process that ran it,
     }
 
 Batch forms: a kind may register one (``register_point_kind(...,
-batch=)``). An inline run without a timeout hands all of the kind's
-uncached points to it in one call — each point still draws from its own
-attempt-0 generator and gets its own record and cache key — and falls
-back to per-point execution when the batch raises. Its records reach
-the store together when it returns, so a run killed mid-batch re-runs
-the batch's points on resume. Queue workers always run points one by
-one. ``surface-link`` registers one, so an inline surface build decodes
-each rate's cells together.
+batch=, batch_over=)``). An inline run without a timeout hands the
+kind's uncached points to it one row at a time — the points whose
+params differ only in ``batch_over``, the unit that shares kernel work.
+Each point still draws from its own attempt-0 generator and gets its
+own record and cache key; a row that raises falls back to per-point
+execution. A row's records reach the store and the status board
+together when it returns, so a run killed mid-row re-runs that row's
+points on resume. Queue workers always run points one by one.
+``surface-link`` registers one over ``snr_db``, so an inline surface
+build decodes each rate's cells together.
 
 Telemetry: when :func:`run_campaign` is called with ``trace=True`` (or
 an ambient :mod:`repro.obs` tracer is installed) the run emits spans —
@@ -101,7 +104,8 @@ _POINT_KINDS = {}
 _BATCH_FORMS = {}
 
 
-def register_point_kind(kind, func, code_version="1", batch=None):
+def register_point_kind(kind, func, code_version="1", batch=None,
+                        batch_over=None):
     """Register ``func`` as the executor for points of ``kind``.
 
     ``code_version`` is part of every point's cache key: bump it whenever
@@ -111,14 +115,16 @@ def register_point_kind(kind, func, code_version="1", batch=None):
     ``batch`` is an optional batch form, ``batch(params_list, rngs) ->
     list of metrics``: the metrics ``func`` returns for each
     ``(params, rng)`` pair, computed in one call. Inline runs hand it
-    every uncached point (see :func:`_execute_batch`), so it must agree
-    with ``func`` bit for bit; queue workers always run ``func``.
+    their uncached points one row at a time — the points whose params
+    agree in everything but ``batch_over`` (see :func:`_batch_rows`) —
+    so it must agree with ``func`` bit for bit; queue workers always
+    run ``func``.
     """
     _POINT_KINDS[kind] = (func, str(code_version))
     if batch is None:
         _BATCH_FORMS.pop(kind, None)
     else:
-        _BATCH_FORMS[kind] = batch
+        _BATCH_FORMS[kind] = (batch, batch_over)
 
 
 def point_kinds():
@@ -142,11 +148,17 @@ def _lookup_kind(kind):
 # package stays cheap and queue workers only pay for what they run.
 
 def _link_options(params):
-    """The run options a link point's ``params`` set, as keywords."""
+    """``(link, run)``: the keywords a link point's ``params`` set for its
+    simulator (channel, receive antennas, detector) and for its run."""
     precision = params.get("precision")
     max_trials = params.get("max_trials")
     floor = params.get("analytic_floor")
-    return {
+    link = {
+        "channel": params.get("channel", "awgn"),
+        "n_rx": params.get("n_rx"),
+        "detector": params.get("detector", "mmse"),
+    }
+    return link, {
         "n_packets": int(params.get("n_packets", 100)),
         "payload_bytes": int(params.get("payload_bytes", 100)),
         "precision": float(precision) if precision is not None else None,
@@ -190,45 +202,28 @@ def _run_link_point(params, rng):
     """
     from repro.core.link import LinkSimulator
 
-    sim = LinkSimulator(
-        params["phy"],
-        params.get("channel", "awgn"),
-        n_rx=params.get("n_rx"),
-        detector=params.get("detector", "mmse"),
-        rng=rng,
-    )
-    options = _link_options(params)
+    link, options = _link_options(params)
+    sim = LinkSimulator(params["phy"], rng=rng, **link)
     result = sim.run(float(params["snr_db"]), **options)
     return _link_metrics(result, options["confidence"])
 
 
 def _run_link_points(params_list, rngs):
-    """Batch form of :func:`_run_link_point`.
+    """Batch form of :func:`_run_link_point` for one row of points.
 
-    Points whose params differ only in ``phy`` and ``snr_db`` run as the
+    The points agree in every param but ``snr_db``; they run as the
     columns of one :func:`~repro.core.link.run_link_points` call, each
     on its own generator, so every point's metrics are those
     :func:`_run_link_point` records for it.
     """
     from repro.core.link import run_link_points
 
-    groups = {}
-    for i, params in enumerate(params_list):
-        shared = sorted((k, repr(v)) for k, v in params.items()
-                        if k not in ("phy", "snr_db"))
-        groups.setdefault(repr(shared), []).append(i)
-    metrics = [None] * len(params_list)
-    for members in groups.values():
-        params = params_list[members[0]]
-        options = _link_options(params)
-        results = run_link_points(
-            [(params_list[i]["phy"], float(params_list[i]["snr_db"]),
-              rngs[i]) for i in members],
-            channel=params.get("channel", "awgn"), n_rx=params.get("n_rx"),
-            detector=params.get("detector", "mmse"), **options)
-        for i, result in zip(members, results):
-            metrics[i] = _link_metrics(result, options["confidence"])
-    return metrics
+    link, options = _link_options(params_list[0])
+    results = run_link_points(
+        [(params["phy"], float(params["snr_db"]), rng)
+         for params, rng in zip(params_list, rngs)], **link, **options)
+    return [_link_metrics(result, options["confidence"])
+            for result in results]
 
 
 def _run_link_grid_point(params, rng):
@@ -333,11 +328,12 @@ register_point_kind("dcf", _run_dcf_point, code_version="2")
 # function — a cell *is* one PER/BER measurement — but carry their own
 # kind so surface campaigns are addressable in the store and their
 # cache keys can evolve independently of ad-hoc link sweeps.
-# Inline surface builds run every uncached cell through the batch form:
-# a rate's cells share its transmit and receive calls, while each cell
-# keeps its own generator, record and cache key.
+# Inline surface builds run each row of uncached cells (one rate at one
+# payload, every SNR) through the batch form: the row's cells share its
+# transmit and receive calls, while each cell keeps its own generator,
+# record and cache key.
 register_point_kind("surface-link", _run_link_point, code_version="1",
-                    batch=_run_link_points)
+                    batch=_run_link_points, batch_over="snr_db")
 
 # Snapshot of the registry as a fresh import creates it. A worker
 # spawned (rather than forked) re-imports this module and gets exactly
@@ -531,9 +527,23 @@ def _point_record(kind, campaign, code_version, base_seed, index, params,
     }
 
 
+def _batch_rows(todo, batch_over):
+    """``todo``'s ``(key, point)`` pairs split into batch rows.
+
+    A row holds the points whose params agree in everything but
+    ``batch_over``; rows and the points in them keep ``todo``'s order.
+    """
+    rows = {}
+    for key, pt in todo:
+        shared = sorted((k, repr(v)) for k, v in pt.params.items()
+                        if k != batch_over)
+        rows.setdefault(repr(shared), []).append((key, pt))
+    return list(rows.values())
+
+
 def _execute_batch(kind, campaign, base_seed, todo, retries):
-    """Run the ``(key, point)`` pairs of ``todo`` through ``kind``'s batch
-    form; yields one record per point, in ``todo`` order.
+    """Run the ``(key, point)`` pairs of one batch row through ``kind``'s
+    batch form; yields one record per point, in ``todo`` order.
 
     Each point draws from its own attempt-0 generator, as the first try
     of :func:`_execute_point` does, so its metrics — and its record,
@@ -543,7 +553,7 @@ def _execute_batch(kind, campaign, base_seed, todo, retries):
     re-runs every point one by one through :func:`_execute_point`,
     which records errors, tracebacks and retries as for any point.
     """
-    batch = _BATCH_FORMS[kind]
+    batch, _ = _BATCH_FORMS[kind]
     _, code_version = _lookup_kind(kind)
     with obs.span("campaign.batch", kind=kind, campaign=campaign,
                   n_points=len(todo)) as span, obs.timed() as clock:
@@ -890,12 +900,15 @@ def _run_campaign_impl(spec, workers, store, force, say, retries,
             if board is not None and todo:
                 board.set_running(1)
             if todo and spec.kind in _BATCH_FORMS and not timeout_s:
-                # A kind's batch form runs its uncached points in one
-                # call; a timeout is per point, so it runs them singly.
-                t_submit = clock.elapsed
-                for record in _execute_batch(spec.kind, spec.name,
-                                             spec.base_seed, todo, retries):
-                    finish(record, t_submit)
+                # A kind's batch form runs its uncached points a row at
+                # a time, each row's records finished as it returns; a
+                # timeout is per point, so it runs them singly.
+                for row in _batch_rows(todo, _BATCH_FORMS[spec.kind][1]):
+                    t_submit = clock.elapsed
+                    for record in _execute_batch(spec.kind, spec.name,
+                                                 spec.base_seed, row,
+                                                 retries):
+                        finish(record, t_submit)
             else:
                 for key, pt in todo:
                     t_submit = clock.elapsed

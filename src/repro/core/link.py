@@ -344,32 +344,14 @@ class LinkSimulator:
         the bound cannot cover (non-OFDM PHYs, fading channels, or
         bound above the floor) fall through to Monte-Carlo unchanged.
         """
-        snr_db, n_packets, payload_bytes = validate_link_run_args(
-            snr_db, n_packets, payload_bytes)
-        floor = _analytic_floor(analytic_floor)
-        bounds = self._analytic_cell(snr_db, payload_bytes, floor)
-        if bounds is not None:
-            obs.counter("link.analytic_points")
-            mc = analytic_result(bounds["per"], target="packet_error",
-                                 confidence=confidence)
-            return self._result(snr_db, payload_bytes, mc, bounds, floor)
-
-        with obs.span("link.run", phy=self.phy_name,
-                      channel=self.channel_name,
-                      snr_db=float(snr_db)) as span, obs.timed() as clock:
-            # Python's scalar power, as the seed-era loop computed it;
-            # numpy's array power can differ in the last bit.
-            grid_fn = _grid_fn(
-                [(self, 10.0 ** (snr_db / 10.0), SerialDraws(self))],
-                payload_bytes)
-            mc, = run_grid_trials(
-                grid_fn, n_packets, 1, target="packet_error",
-                batch_size=batch_size, confidence=confidence,
-                precision=precision, max_trials=max_trials)
-            span.set(n_trials=mc.n_trials, stop_reason=mc.stop_reason,
-                     packets_per_s=(mc.n_trials / clock.elapsed
-                                    if clock.elapsed > 0 else 0.0))
-        return self._result(snr_db, payload_bytes, mc)
+        result, = _run_points(
+            [(self, snr_db, self.rng)], n_packets, payload_bytes,
+            ("link.run", {"phy": self.phy_name,
+                          "channel": self.channel_name}),
+            precision=precision, max_trials=max_trials,
+            confidence=confidence, batch_size=batch_size,
+            analytic_floor=analytic_floor)
+        return result
 
     def waterfall(self, snr_values_db, n_packets=100, payload_bytes=100,
                   **mc_kwargs):
@@ -629,16 +611,19 @@ def _grid_fn(columns, payload_bytes):
     Column ``k`` is ``columns[k] = (sim, snr_lin, source)``: PHY
     ``sim._phy`` at linear SNR ``snr_lin``, its packets drawn from
     ``source`` — a :class:`TrialSubstreams` that several columns share,
-    or a :class:`SerialDraws` of its own. Each call draws every distinct
-    source once, sized for the longest PHY it serves; transmits a PHY's
-    packets once, one batch for all of its columns' sources; and decodes
-    its columns stacked in one receive call as far as
-    :data:`GRID_ROW_STEPS` allows, adding each column's noise in place
-    into the stacked receive block. A source's draws are released as
-    soon as its last column is in a receive block, so a PHY's receive
-    holds only its own rows. An HT/VHT packet is an ``(n_tx, n)``
-    transmit row and an ``(n_rx, n)`` receive row; a DSSS/CCK or FHSS
-    packet is a chip or sample row of its :class:`_BitModem`.
+    or a :class:`SerialDraws` of its own. A PHY's columns are decoded
+    stacked, as many per receive call as :data:`GRID_ROW_STEPS`
+    allows, each column's noise added in place into the stacked
+    receive block. Work is done one receive block at a time: a source
+    is drawn when a block first needs it, sized for the longest PHY it
+    serves, and transmitted once per PHY (a shared source with the
+    PHY's first block, a column's own source with its block); its
+    draws and noiseless receive rows are released with its last column.
+    So a call holds the draws of one receive block, plus those of any
+    shared source, however many columns it has. An HT/VHT packet is an
+    ``(n_tx, n)`` transmit row and an ``(n_rx, n)`` receive row; a
+    DSSS/CCK or FHSS packet is a chip or sample row of its
+    :class:`_BitModem`.
     """
     sizes = {}
     for sim, _, source in columns:
@@ -659,27 +644,6 @@ def _grid_fn(columns, payload_bytes):
         for sim, cols in by_phy.values():
             phy = sim._phy
             n = phy.n_samples(payload_bytes)
-            sources = list({id(src): src for _, _, src in cols}.values())
-            for src in sources:
-                if id(src) not in drawn:
-                    drawn[id(src)] = src.draw(lo, hi, payload_bytes,
-                                              sizes[id(src)])
-            # (len(sources) * m, [n_tx,] n): one transmit for the PHY.
-            tx = phy.transmit_batch(
-                [p for src in sources for p in drawn[id(src)][0]])
-            # SNR convention: *average* received SNR. Channels have unit
-            # mean gain per antenna pair, so the expected receive power
-            # per antenna equals the total transmit power; scaling noise
-            # to that average (not to the instantaneous packet power)
-            # preserves per-packet fades — the whole point of diversity
-            # experiments. One whole-packet mean per row: an axis
-            # reduction over (n_tx, n) may sum in another order.
-            power = np.array([np.mean(np.abs(row) ** 2) for row in tx]) \
-                * sim.n_tx
-            clean = {id(src): (drawn[id(src)][1](tx[j * m:(j + 1) * m]),
-                               power[j * m:(j + 1) * m])
-                     for j, src in enumerate(sources)}
-            del tx
             if sim._kind == "ofdm":
                 n_dbps = phy.rate.n_dbps
                 receive = phy.receive_batch
@@ -687,14 +651,44 @@ def _grid_fn(columns, payload_bytes):
                 n_dbps = phy.n_dbps
                 receive = functools.partial(phy.receive_batch,
                                             psdu_bytes=payload_bytes)
-            rx_shape = next(iter(clean.values()))[0].shape[1:]
             # Every row decodes independently, so the rate's SNR columns
             # share one receive call (one detection and one data trellis
             # sweep) as far as the row budget allows.
             steps = phy.n_symbols(payload_bytes) * n_dbps
             per_call = max(1, GRID_ROW_STEPS // (m * steps))
+            left = {}  # source -> this PHY's columns not yet received
+            for _, _, src in cols:
+                left[id(src)] = left.get(id(src), 0) + 1
+            clean = {}  # source -> (noiseless receive rows, tx power)
             for first in range(0, len(cols), per_call):
                 block = cols[first:first + per_call]
+                fresh = list({id(src): src for _, _, src in block
+                              if id(src) not in clean}.values())
+                for src in fresh:
+                    if id(src) not in drawn:
+                        drawn[id(src)] = src.draw(lo, hi, payload_bytes,
+                                                  sizes[id(src)])
+                if fresh:
+                    # (len(fresh) * m, [n_tx,] n): one transmit call.
+                    tx = phy.transmit_batch(
+                        [p for src in fresh for p in drawn[id(src)][0]])
+                    # SNR convention: *average* received SNR. Channels
+                    # have unit mean gain per antenna pair, so the
+                    # expected receive power per antenna equals the
+                    # total transmit power; scaling noise to that
+                    # average (not to the instantaneous packet power)
+                    # preserves per-packet fades — the whole point of
+                    # diversity experiments. One whole-packet mean per
+                    # row: an axis reduction over (n_tx, n) may sum in
+                    # another order.
+                    power = np.array([np.mean(np.abs(row) ** 2)
+                                      for row in tx]) * sim.n_tx
+                    for j, src in enumerate(fresh):
+                        rows = slice(j * m, (j + 1) * m)
+                        clean[id(src)] = (drawn[id(src)][1](tx[rows]),
+                                          power[rows])
+                    del tx
+                rx_shape = clean[id(block[0][2])][0].shape[1:]
                 noise_var = np.empty(len(block) * m)
                 rx = np.empty((len(block) * m,) + rx_shape,
                               dtype=np.complex128)
@@ -705,11 +699,12 @@ def _grid_fn(columns, payload_bytes):
                         rx[rows], *clean[id(src)],
                         drawn[id(src)][2][..., :n], snr)
                     sent.append(drawn[id(src)][0])
+                    left[id(src)] -= 1
+                    if not left[id(src)]:
+                        del clean[id(src)]
                     pending[id(src)] -= 1
                     if not pending[id(src)]:
                         del drawn[id(src)]
-                if first + per_call >= len(cols):
-                    clean = None  # the PHY's last block: free before decoding
                 psdus = receive(rx, noise_var)
                 for j, (k, _, _) in enumerate(block):
                     for payload, got in zip(sent[j],
@@ -845,6 +840,56 @@ def run_link_grid(phys, snr_values_db, n_packets=100, payload_bytes=100, *,
             for p, sim in enumerate(sims)]
 
 
+def _run_points(cells, n_packets, payload_bytes, span, *, precision,
+                max_trials, confidence, batch_size, analytic_floor):
+    """Run independent points ``[(sim, snr_db, rng)]`` as one grid.
+
+    Column ``i`` draws from ``cells[i]``'s own generator
+    (:class:`SerialDraws`), scales its noise by Python's scalar
+    ``10.0 ** (snr_db / 10.0)`` (numpy's array power can differ in the
+    last bit) and stops by its own rule, so each result is independent
+    of the other columns. Points whose union bound clears
+    ``analytic_floor`` send no packets and consume no draws; when every
+    point does, no grid runs. ``span`` is the ``(name, attrs)`` of the
+    span around the grid (a single point's adds its ``snr_db``).
+    """
+    floor = _analytic_floor(analytic_floor)
+    points = []
+    for sim, snr_db, rng in cells:
+        snr_db, n_packets, payload_bytes = validate_link_run_args(
+            snr_db, n_packets, payload_bytes)
+        points.append((sim, snr_db, rng,
+                       sim._analytic_cell(snr_db, payload_bytes, floor)))
+    analytic = {i: bounds["per"] for i, (*_, bounds) in enumerate(points)
+                if bounds is not None}
+    if analytic:
+        obs.counter("link.analytic_points", len(analytic))
+    if len(analytic) == len(points):
+        mcs = [analytic_result(per, target="packet_error",
+                               confidence=confidence)
+               for per in analytic.values()]
+    else:
+        name, attrs = span
+        if len(points) == 1:
+            attrs = dict(attrs, snr_db=points[0][1])
+        with obs.span(name, n_points=len(points), n_analytic=len(analytic),
+                      **attrs) as span, obs.timed() as clock:
+            grid_fn = _grid_fn(
+                [(sim, 10.0 ** (snr_db / 10.0), SerialDraws(sim, rng))
+                 for sim, snr_db, rng, _ in points], payload_bytes)
+            mcs = run_grid_trials(
+                grid_fn, n_packets, len(points), target="packet_error",
+                batch_size=batch_size, analytic=analytic,
+                confidence=confidence, precision=precision,
+                max_trials=max_trials)
+            sent = sum(mc.n_trials for mc in mcs)
+            span.set(n_packets=sent,
+                     packets_per_s=(sent / clock.elapsed
+                                    if clock.elapsed > 0 else 0.0))
+    return [sim._result(snr_db, payload_bytes, mc, bounds, floor)
+            for (sim, snr_db, _, bounds), mc in zip(points, mcs)]
+
+
 def run_link_points(points, n_packets=100, payload_bytes=100, *,
                     channel="awgn", n_rx=None, detector="mmse",
                     precision=None, max_trials=None, confidence=0.95,
@@ -867,37 +912,14 @@ def run_link_points(points, n_packets=100, payload_bytes=100, *,
     points = list(points)
     if not points:
         raise ConfigurationError("run_link_points needs at least one point")
-    _, n_packets, payload_bytes = validate_link_run_args(
-        0.0, n_packets, payload_bytes)
-    floor = _analytic_floor(analytic_floor)
-    sims, cells, columns = {}, [], []
-    for phy, snr_db, rng in points:
-        snr_db, _, _ = validate_link_run_args(snr_db, n_packets,
-                                              payload_bytes)
-        sim = sims.get(phy)
-        if sim is None:
-            sim = sims[phy] = LinkSimulator(phy, channel, n_rx=n_rx,
-                                            detector=detector)
-        cells.append((sim, snr_db,
-                      sim._analytic_cell(snr_db, payload_bytes, floor)))
-        columns.append((sim, 10.0 ** (snr_db / 10.0),
-                        SerialDraws(sim, as_generator(rng))))
-    analytic = {i: bounds["per"] for i, (_, _, bounds) in enumerate(cells)
-                if bounds is not None}
-    if analytic:
-        obs.counter("link.analytic_points", len(analytic))
-
-    with obs.span("link.points", n_points=len(cells), n_phys=len(sims),
-                  channel=channel,
-                  n_analytic=len(analytic)) as span, obs.timed() as clock:
-        mcs = run_grid_trials(
-            _grid_fn(columns, payload_bytes), n_packets, len(columns),
-            target="packet_error", batch_size=batch_size, analytic=analytic,
-            confidence=confidence, precision=precision,
-            max_trials=max_trials)
-        sent = sum(mc.n_trials for mc in mcs)
-        span.set(n_packets=sent,
-                 packets_per_s=(sent / clock.elapsed
-                                if clock.elapsed > 0 else 0.0))
-    return [sim._result(snr_db, payload_bytes, mc, bounds, floor)
-            for (sim, snr_db, bounds), mc in zip(cells, mcs)]
+    sims = {}
+    for phy, _, _ in points:
+        if phy not in sims:
+            sims[phy] = LinkSimulator(phy, channel, n_rx=n_rx,
+                                      detector=detector)
+    return _run_points(
+        [(sims[phy], snr_db, as_generator(rng)) for phy, snr_db, rng
+         in points], n_packets, payload_bytes,
+        ("link.points", {"n_phys": len(sims), "channel": channel}),
+        precision=precision, max_trials=max_trials, confidence=confidence,
+        batch_size=batch_size, analytic_floor=analytic_floor)

@@ -88,7 +88,9 @@ def _first_points(points):
 
     Workers run their points one after another and the orchestrator
     records each as it finishes, so a worker's first point is its
-    earliest ``campaign.point`` event.
+    earliest ``campaign.point`` event. A batched first point is left
+    out: its ``wall_s`` is a share of its batch, start-up spread over
+    the batch's points.
     """
     firsts = {}
     for event in points:
@@ -101,7 +103,8 @@ def _first_points(points):
         if first is None or order < (first.get("t_wall") or 0.0,
                                      first.get("seq") or 0):
             firsts[worker] = event
-    return firsts
+    return {worker: event for worker, event in firsts.items()
+            if not (event.get("attrs") or {}).get("batched")}
 
 
 def summary_table(summary, max_rows=None):
@@ -206,7 +209,8 @@ def trace_report_lines(events, top=10, campaign=None):
                 trials, span_s = int(attrs.get("n_trials") or 0), wall
             rate = f"{trials / span_s:>9.0f}" if trials and span_s \
                 else f"{'--':>9}"
-            mark = "*" if event is firsts.get(attrs.get("worker")) else " "
+            mark = ("~" if attrs.get("batched") else
+                    "*" if event is firsts.get(attrs.get("worker")) else " ")
             lines.append(
                 f"{idx!s:>6} {attrs.get('outcome', '?'):<8}"
                 f" {attrs.get('attempts', 1)!s:>3}"
@@ -215,6 +219,9 @@ def trace_report_lines(events, top=10, campaign=None):
         if firsts:
             lines.append("  * first point its worker ran: wall_s may "
                          "include start-up (imports, plan caches)")
+        if any((e.get("attrs") or {}).get("batched") for e in points):
+            lines.append("  ~ batched point: wall_s is an even share of "
+                         "its batch row's time, start-up included")
 
     slowest = sorted((e for e in events if e.get("type") == "span"),
                      key=lambda e: -(e.get("dur_s") or 0.0))[:int(top)]

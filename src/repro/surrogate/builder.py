@@ -10,13 +10,14 @@ grid only pays for the new cells), fault isolation with retries, and
 out, run it, fold the records into a :class:`PerSurface`, and persist
 it next to the campaign's records.
 
-Inline builds (``workers=1``) run every uncached cell in one call of the
-kind's batch form, :func:`~repro.core.link.run_link_points`: each cell
-is a grid column on its own per-point generator, and a rate's cells
-share one transmit and one receive call per trial batch (one SIGNAL and
-one data trellis sweep), so the cells come out bit-identical to a
-``workers > 1`` build, which runs them one by one on the queue. The
-cache unit is still the cell.
+Inline builds (``workers=1``) run each row of uncached cells — one
+``(phy, payload_bytes)`` at every SNR — in one call of the kind's batch
+form, :func:`~repro.core.link.run_link_points`: each cell is a grid
+column on its own per-point generator, and the row's cells share one
+transmit and one receive call per trial batch (one SIGNAL and one data
+trellis sweep), so the cells come out bit-identical to a ``workers >
+1`` build, which runs them one by one on the queue. The cache unit is
+still the cell; a row's records are stored as the row finishes.
 """
 
 from __future__ import annotations

@@ -1,13 +1,15 @@
 """Inline campaigns hand a kind's uncached points to its batch form.
 
-``surface-link`` registers one: an inline surface build runs every
-uncached cell in one batch call, each cell on its own attempt-0
-generator, and records exactly what per-point execution (the queue
-path) records. A failing batch falls back to per-point execution; a
-spec with a timeout never batches.
+``surface-link`` registers one over ``snr_db``: an inline surface build
+runs each row of uncached cells (one rate, one payload, every SNR) in
+one batch call, each cell on its own attempt-0 generator, and records
+exactly what per-point execution (the queue path) records. A failing
+row falls back to per-point execution; a spec with a timeout never
+batches.
 """
 
 import dataclasses
+import types
 
 import numpy as np
 import pytest
@@ -26,13 +28,14 @@ BUILD = dict(snr_db=SNRS, payload_bytes=[200], n_packets=2, base_seed=5)
 def batch_calls(monkeypatch):
     """Point counts of every ``surface-link`` batch call."""
     calls = []
-    batch = runner._BATCH_FORMS["surface-link"]
+    batch, over = runner._BATCH_FORMS["surface-link"]
 
     def counting(params_list, rngs):
         calls.append(len(params_list))
         return batch(params_list, rngs)
 
-    monkeypatch.setitem(runner._BATCH_FORMS, "surface-link", counting)
+    monkeypatch.setitem(runner._BATCH_FORMS, "surface-link",
+                        (counting, over))
     return calls
 
 
@@ -75,11 +78,41 @@ class TestInlineBatch:
             assert np.array_equal(getattr(surface, field),
                                   getattr(queue, field))
 
-    def test_wall_time_is_a_share_of_the_batch(self, batch_calls):
+    def test_one_batch_per_row(self, batch_calls):
         result = run_campaign(_spec())
-        walls = {r["wall_time_s"] for r in result.records}
-        assert len(walls) == 1 and walls.pop() > 0.0
-        assert batch_calls == [4]
+        assert batch_calls == [2, 2]  # one per rate
+        # Each cell's wall time is an even share of its row's batch.
+        for row in (result.records[:2], result.records[2:]):
+            walls = {r["wall_time_s"] for r in row}
+            assert len(walls) == 1 and walls.pop() > 0.0
+
+    def test_each_rows_records_are_stored_as_it_returns(self, tmp_path,
+                                                        monkeypatch):
+        store = ResultsStore(tmp_path)
+        batch, over = runner._BATCH_FORMS["surface-link"]
+        stored = []
+
+        def watching(params_list, rngs):
+            stored.append(len(list(store.iter_records("cells"))))
+            return batch(params_list, rngs)
+
+        monkeypatch.setitem(runner._BATCH_FORMS, "surface-link",
+                            (watching, over))
+        run_campaign(_spec(), store=store)
+        assert stored == [0, 2]
+
+    def test_rows_split_on_every_param_but_the_batch_axis(self):
+        def point(index, **params):
+            return (f"k{index}", types.SimpleNamespace(index=index,
+                                                      params=params))
+
+        todo = [point(0, phy="a", payload_bytes=100, snr_db=1.0),
+                point(1, phy="a", payload_bytes=200, snr_db=1.0),
+                point(2, phy="a", payload_bytes=100, snr_db=2.0),
+                point(3, phy="b", payload_bytes=100, snr_db=1.0)]
+        rows = runner._batch_rows(todo, "snr_db")
+        assert [[key for key, _ in row] for row in rows] \
+            == [["k0", "k2"], ["k1"], ["k3"]]
 
     def test_timeout_spec_runs_point_by_point(self, batch_calls):
         result = run_campaign(_spec(timeout_s=60.0))
@@ -95,22 +128,26 @@ class TestBatchFailure:
         spec = CampaignSpec(
             name="bad-cell", kind="surface-link",
             factors={"phy": ["ofdm-6", "ofdm-7"], "payload_bytes": [100],
-                     "snr_db": [10.0]},
+                     "snr_db": [10.0, 20.0]},
             fixed={"channel": "awgn", "n_packets": 2}, retries=1)
         batched = run_campaign(spec)
         monkeypatch.delitem(runner._BATCH_FORMS, "surface-link")
         single = run_campaign(spec)
-        assert [r["outcome"] for r in batched.records] == ["ok", "error"]
+        assert [r["outcome"] for r in batched.records] \
+            == ["ok", "ok", "error", "error"]
         keys = ("outcome", "error", "error_type", "traceback", "attempts",
                 "metrics", "key")
         for a, b in zip(batched.records, single.records):
             assert {k: a[k] for k in keys} == {k: b[k] for k in keys}
-            assert "batched" not in a
-        assert batched.records[1]["attempts"] == 2  # retried as usual
+        # The ofdm-6 row ran batched; the failing ofdm-7 row fell back
+        # to per-point execution and was retried as usual.
+        assert [r.get("batched") for r in batched.records] \
+            == [True, True, None, None]
+        assert [r["attempts"] for r in batched.records[2:]] == [2, 2]
 
     def test_batch_with_a_short_result_falls_back(self, monkeypatch):
         monkeypatch.setitem(runner._BATCH_FORMS, "surface-link",
-                            lambda params_list, rngs: [])
+                            (lambda params_list, rngs: [], "snr_db"))
         result = run_campaign(_spec())
         reference = run_campaign(_spec(timeout_s=60.0))
         assert [r["metrics"] for r in result.records] \
@@ -136,8 +173,16 @@ class TestTraceReport:
         events = obs.read_trace(result.extras["trace_path"])
         rows = _report_rows(obs.trace_report_lines(events))
         assert sorted(rows) == [0, 1, 2, 3]
-        for index, (_, trials) in rows.items():
+        for index, (wall, trials) in rows.items():
             assert int(trials) == 2
+            # A share of its row's batch, start-up included: marked as
+            # batched, never as its worker's first point.
+            assert wall.endswith("~")
+        lines = obs.trace_report_lines(events)
+        assert any(line.lstrip().startswith("~ batched point")
+                   for line in lines)
+        assert not any(line.lstrip().startswith("* first point")
+                       for line in lines)
 
     def test_first_point_of_each_worker_is_marked(self, tmp_path):
         spec = CampaignSpec(

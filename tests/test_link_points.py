@@ -142,6 +142,30 @@ class TestOneReceivePerRate:
             run_link_points([])
 
 
+class TestPointsMemory:
+    """A grid of per-point columns holds one receive block's draws at a
+    time: many SNRs of one rate peak at about one point's peak."""
+
+    @staticmethod
+    def _peak(n_points):
+        points = [("ofdm-54", 20.0 + i, i) for i in range(n_points)]
+        tracemalloc.start()
+        try:
+            _batched(points, "awgn", n_packets=50, payload_bytes=500,
+                     batch_size=50)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak
+
+    def test_many_snrs_peak_at_one_points_peak(self):
+        # 50 rows of a 500-byte frame exceed the row-step budget, so
+        # each column is its own receive block. Drawing and transmitting
+        # every column up front peaked at ~1.7x one point (six columns).
+        assert 50 * 4104 > link.GRID_ROW_STEPS
+        assert self._peak(6) < 1.15 * self._peak(1)
+
+
 class TestReceiveMemory:
     """The receive front end runs in row blocks: a 4-row 1500-byte
     54 Mbps batch must not hold four rows' demapper scratch at once."""
