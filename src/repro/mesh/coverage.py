@@ -4,23 +4,22 @@ served by a wireless network" claim.
 Coverage is evaluated by Monte-Carlo: a test point is covered when some
 mesh point sustains at least the target rate to it (and the mesh point can
 reach the wired portal through the mesh). Sampling runs through the
-:mod:`repro.core.mc` engine — the per-sample Python loop of the seed
-implementation is replaced by a distance-matrix + vectorised SNR
-threshold, bit-identical to the scalar path at the same seed, and a
-``precision`` target turns the fixed sample budget into an adaptive one
-with a Wilson CI on the covered fraction.
+:mod:`repro.core.mc` engine: a KD-tree over the portal's component
+finds each sample's nearest mesh point and a vectorised SNR threshold
+decides it, bit-identical to the seed-era per-sample loop at the same
+seed, and a ``precision`` target turns the fixed sample budget into an
+adaptive one with a Wilson CI on the covered fraction.
 """
 
 from __future__ import annotations
 
-import networkx as nx
 import numpy as np
 
 from repro import obs
 from repro.analysis.linkbudget import LinkBudget
 from repro.core.mc import run_trials
 from repro.errors import ConfigurationError
-from repro.mesh.network import MeshNetwork
+from repro.mesh.network import MeshNetwork, check_node_index
 from repro.standards.registry import get_standard
 from repro.utils.rng import as_generator
 
@@ -59,6 +58,8 @@ def coverage_result(mesh_positions, area_side_m, min_rate_mbps=6.0,
     that mode (the link already embodies one PHY rate). Mesh-to-portal
     reachability uses the rate table either way.
     """
+    from scipy.spatial import cKDTree
+
     positions = np.asarray(mesh_positions, dtype=float)
     if positions.ndim != 2:
         raise ConfigurationError("mesh positions must be (N, 2)")
@@ -66,10 +67,15 @@ def coverage_result(mesh_positions, area_side_m, min_rate_mbps=6.0,
         raise ConfigurationError(
             f"area_side_m must be finite and > 0, got {area_side_m!r}"
         )
-    if isinstance(portal, bool) or not isinstance(portal,
-                                                  (int, np.integer)):
+    portal = check_node_index(portal, len(positions), "portal")
+    if isinstance(n_samples, bool) or not isinstance(
+            n_samples, (int, np.integer)) or n_samples < 1:
         raise ConfigurationError(
-            f"portal must be an integer node index, got {portal!r}"
+            f"n_samples must be an integer >= 1, got {n_samples!r}"
+        )
+    if not np.isfinite(min_rate_mbps):
+        raise ConfigurationError(
+            f"min_rate_mbps must be finite, got {min_rate_mbps!r}"
         )
     if link is not None and not 0.0 < float(max_per) <= 1.0:
         raise ConfigurationError(
@@ -79,31 +85,19 @@ def coverage_result(mesh_positions, area_side_m, min_rate_mbps=6.0,
     std = get_standard(standard) if isinstance(standard, str) else standard
     rng = as_generator(rng)
     net = MeshNetwork(positions, std, budget)
-    if not 0 <= portal < net.n_nodes:
-        raise ConfigurationError(
-            f"portal must index a mesh node (0..{net.n_nodes - 1}), "
-            f"got {portal!r}"
-        )
     # Reachability is pure graph connectivity: best_path(portal, node)
-    # exists iff node shares the portal's connected component. One
-    # component lookup replaces N shortest-path searches.
-    reachable = set(nx.node_connected_component(net.graph, int(portal)))
-    reach_x, reach_y = positions[sorted(reachable)].T
+    # exists iff node shares the portal's connected component.
+    reachable = net.component(portal)
+    tree = cKDTree(positions[reachable])
     threshold_db = _coverage_threshold_snr_db(std, min_rate_mbps)
 
     def sample_batch(rng, m):
         points = rng.uniform(0.0, area_side_m, size=(m, 2))
-        if not reachable or (link is None and threshold_db is None):
+        if link is None and threshold_db is None:
             return {"covered": 0}
-        # (m, n_reachable) squared distances, squared in place; nearest
-        # mesh point decides. sqrt is monotone and correctly rounded, so
-        # the root of the row minimum is the minimum of the rooted row.
-        d2 = points[:, :1] - reach_x
-        d2 *= d2
-        dy = points[:, 1:] - reach_y
-        dy *= dy
-        d2 += dy
-        nearest = np.maximum(np.sqrt(d2.min(axis=1)), 0.1)
+        # The nearest reachable mesh point decides. The tree's Euclidean
+        # distance is the root of dx*dx + dy*dy, as a distance matrix's.
+        nearest = np.maximum(tree.query(points)[0], 0.1)
         snr = budget.snr_at(nearest)
         if link is not None:
             ok = np.asarray(link.per_at(snr)) <= float(max_per)
@@ -114,7 +108,7 @@ def coverage_result(mesh_positions, area_side_m, min_rate_mbps=6.0,
                   n_mesh=int(positions.shape[0]),
                   n_reachable=len(reachable),
                   surrogate=link is not None) as span:
-        result = run_trials(sample_batch, n_trials=int(n_samples),
+        result = run_trials(sample_batch, n_trials=n_samples,
                             target="covered", rng=rng, precision=precision,
                             max_trials=max_trials, confidence=confidence,
                             batch_size=batch_size, vectorized=True)

@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import contextlib
+import functools
 
-import networkx as nx
 import numpy as np
 
 from repro import obs
@@ -12,6 +12,16 @@ from repro.analysis.linkbudget import LinkBudget
 from repro.errors import ConfigurationError, LinkBudgetError
 from repro.mesh.metrics import airtime_metric_s, hop_count_metric
 from repro.standards.registry import get_standard
+
+
+def check_node_index(node, n_nodes, name="node"):
+    """``node`` as an int, if it indexes one of ``n_nodes`` mesh nodes."""
+    if isinstance(node, bool) or not isinstance(node, (int, np.integer)) \
+            or not 0 <= node < n_nodes:
+        raise ConfigurationError(
+            f"{name} must index a mesh node (0..{n_nodes - 1}), got {node!r}"
+        )
+    return int(node)
 
 
 class MeshNetwork:
@@ -25,6 +35,12 @@ class MeshNetwork:
         Which generation's rate table links use (default "802.11a").
     budget : LinkBudget, optional
         Radio parameters shared by all nodes.
+
+    Attributes
+    ----------
+    links : record array
+        The usable links in row-major ``(i, j)`` order, ``i < j``, with
+        fields ``i``, ``j``, ``distance_m``, ``snr_db`` and ``rate_mbps``.
 
     Examples
     --------
@@ -45,10 +61,10 @@ class MeshNetwork:
             else standard
         self.budget = budget or LinkBudget()
         self.n_nodes = self.positions.shape[0]
-        self._build_graph()
+        self.links = self._price_links()
 
-    def _build_graph(self):
-        """Link graph from a neighbour search, priced as all pairs were.
+    def _price_links(self):
+        """Usable links from a neighbour search, priced as all pairs were.
 
         A pair is a link when the SNR at its distance (clamped to 0.1 m)
         meets the standard's lowest rung. Only the candidate pairs of
@@ -56,52 +72,72 @@ class MeshNetwork:
         arithmetic of ``pairwise_distances``, ``snr_at``, then
         ``rate_at_snr`` replicated as a searchsorted against the sorted
         SNR thresholds with a running max of the rates they unlock (the
-        highest rate whose requirement is met). Edges are added in
-        row-major ``(i, j)`` order, so the graph, its attributes and its
-        insertion order (hence shortest-path tie-breaking) are exactly
-        those of the all-pairs pass, at O(N) cost for a sparse mesh.
+        highest rate whose requirement is met). Links are kept in
+        row-major ``(i, j)`` order, so :attr:`graph`, its attributes and
+        its insertion order (hence shortest-path tie-breaking) are
+        exactly those of the all-pairs pass, at O(N) cost for a sparse
+        mesh.
         """
-        self.graph = nx.Graph()
-        self.graph.add_nodes_from(range(self.n_nodes))
         with obs.span("mesh.graph", n_nodes=self.n_nodes) as span:
-            if self.n_nodes < 2 or not self.standard.rates:
-                span.set(n_candidates=0, n_edges=0)
-                return
             entries = sorted(self.standard.rates,
                              key=lambda r: r.required_snr_db)
             thresholds = np.array([r.required_snr_db for r in entries])
             best_rate = np.maximum.accumulate(
                 np.array([r.rate_mbps for r in entries], dtype=float))
-
-            iu, ju = self._candidate_pairs(thresholds[0])
+            iu = ju = np.empty(0, dtype=np.intp)
+            if self.n_nodes >= 2 and entries:
+                iu, ju = self._candidate_pairs(thresholds[0])
             deltas = self.positions[iu] - self.positions[ju]
             pair_d = np.sqrt((deltas ** 2).sum(axis=1))
             snr = np.asarray(self.budget.snr_at(np.maximum(pair_d, 0.1)),
                              dtype=float)
             idx = np.searchsorted(thresholds, snr, side="right") - 1
             usable = idx >= 0
-
-            # Metric functions are pure in the rate; price each distinct
-            # ladder rung once instead of once per edge.
-            metric_cache = {
-                float(r): (airtime_metric_s(r), hop_count_metric(r))
-                for r in np.unique(best_rate)
-            }
-            self.graph.add_edges_from(
-                (i, j, {
-                    "distance_m": d,
-                    "snr_db": s,
-                    "rate_mbps": rate,
-                    "airtime_s": metric_cache[rate][0],
-                    "hops": metric_cache[rate][1],
-                })
-                for i, j, d, s, rate in zip(
-                    iu[usable].tolist(), ju[usable].tolist(),
-                    pair_d[usable].tolist(), snr[usable].tolist(),
-                    best_rate[idx[usable]].tolist())
-            )
             span.set(n_candidates=len(iu),
                      n_edges=int(np.count_nonzero(usable)))
+            return np.rec.fromarrays(
+                [iu[usable], ju[usable], pair_d[usable], snr[usable],
+                 best_rate[idx[usable]]],
+                names="i,j,distance_m,snr_db,rate_mbps")
+
+    @functools.cached_property
+    def graph(self):
+        """The links as a networkx graph, built on first use.
+
+        Nodes ``0..N-1``; one edge per link in row-major ``(i, j)``
+        order, carrying ``distance_m``, ``snr_db``, ``rate_mbps`` and the
+        ``airtime_s`` and ``hops`` routing metrics.
+        """
+        import networkx as nx
+
+        graph = nx.Graph()
+        graph.add_nodes_from(range(self.n_nodes))
+        # Metric functions are pure in the rate; price each distinct
+        # ladder rung once instead of once per edge.
+        metrics = {rate: (airtime_metric_s(rate), hop_count_metric(rate))
+                   for rate in set(self.links.rate_mbps.tolist())}
+        graph.add_edges_from(
+            (i, j, {"distance_m": d, "snr_db": s, "rate_mbps": rate,
+                    "airtime_s": metrics[rate][0], "hops": metrics[rate][1]})
+            for i, j, d, s, rate in self.links.tolist())
+        return graph
+
+    @functools.cached_property
+    def _component_labels(self):
+        """Connected-component label of every node, from the link arrays."""
+        from scipy.sparse import coo_matrix
+        from scipy.sparse.csgraph import connected_components
+
+        links, n = self.links, self.n_nodes
+        adjacency = coo_matrix((np.ones(len(links)), (links.i, links.j)),
+                               shape=(n, n))
+        return connected_components(adjacency, directed=False)[1]
+
+    def component(self, node):
+        """Sorted indices of the nodes ``node`` reaches, itself included."""
+        node = check_node_index(node, self.n_nodes)
+        labels = self._component_labels
+        return np.flatnonzero(labels == labels[node])
 
     def _candidate_pairs(self, lowest_snr_db):
         """Row-major sorted ``(i, j)``, i < j, of every possible link.
@@ -134,13 +170,19 @@ class MeshNetwork:
 
         ``metric`` is "airtime" (the 802.11s intelligent-routing metric) or
         "hops" (naive shortest hop count). Returns the node list, or None
-        when disconnected.
+        when disconnected; an endpoint that is not a node index raises
+        ``ConfigurationError``.
         """
+        import networkx as nx
+
         weight = {"airtime": "airtime_s", "hops": "hops"}.get(metric)
         if weight is None:
             raise ConfigurationError(
                 f"metric must be 'airtime' or 'hops', got {metric!r}"
             )
+        source = check_node_index(source, self.n_nodes, "source")
+        destination = check_node_index(destination, self.n_nodes,
+                                       "destination")
         try:
             return nx.shortest_path(self.graph, source, destination,
                                     weight=weight)
@@ -180,7 +222,7 @@ class MeshNetwork:
 
     def is_connected(self):
         """True if every node can reach every other node."""
-        return nx.is_connected(self.graph) if self.n_nodes > 0 else True
+        return not self._component_labels.any()
 
     def average_throughput_matrix(self, metric="airtime"):
         """Mean end-to-end goodput over all ordered node pairs."""

@@ -14,7 +14,6 @@ buys a dense deployment:
 
 from __future__ import annotations
 
-import networkx as nx
 import numpy as np
 
 from repro.analysis.linkbudget import LinkBudget
@@ -43,6 +42,8 @@ def channels_in_band(band):
 
 def conflict_graph(positions, interference_range_m):
     """Graph with an edge between every AP pair that can interfere."""
+    import networkx as nx
+
     positions = np.asarray(positions, dtype=float)
     if positions.ndim != 2 or positions.shape[1] != 2:
         raise ConfigurationError("positions must be (N, 2)")
@@ -67,6 +68,8 @@ def assign_channels(positions, n_channels, interference_range_m=120.0):
         conflict-graph edges whose endpoints had to share a channel (0 when
         the graph is n_channels-colourable by the greedy order).
     """
+    import networkx as nx
+
     if n_channels < 1:
         raise ConfigurationError("need at least one channel")
     graph = conflict_graph(positions, interference_range_m)

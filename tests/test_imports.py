@@ -46,8 +46,17 @@ class TestImportHygiene:
     def test_link_and_campaign_skip_heavy_dependencies(self, module):
         assert _loaded_after(f"import {module}", HEAVY) == []
 
-    def test_mesh_loads_networkx(self):
-        assert "networkx" in _loaded_after("import repro.mesh", HEAVY)
+    def test_mesh_coverage_loads_no_networkx(self):
+        code = ("import repro.mesh\n"
+                "from repro.mesh.coverage import coverage_result\n"
+                "coverage_result(repro.mesh.grid_positions(3, 50.0), 150.0,"
+                " n_samples=200, rng=1)")
+        assert _loaded_after(code, HEAVY) == []
+
+    def test_best_path_loads_networkx(self):
+        code = ("from repro.mesh import MeshNetwork, grid_positions\n"
+                "MeshNetwork(grid_positions(2, 20.0)).best_path(0, 3)")
+        assert _loaded_after(code, HEAVY) == ["networkx"]
 
     @pytest.mark.parametrize("module", ["repro.mesh", "repro.mesh.coverage"])
     def test_mesh_import_skips_scipy_spatial(self, module):

@@ -112,6 +112,28 @@ class TestMeshNetwork:
             np.array([[0.0, 0.0], [9000.0, 0.0]])
         ).is_connected()
 
+    @pytest.mark.parametrize("source, destination",
+                             [(0, 7), (7, 0), (-1, 2), (0, 1.0), (True, 2)])
+    def test_bad_endpoint_rejected(self, source, destination):
+        net = MeshNetwork(line_positions(3, 20.0))
+        with pytest.raises(ConfigurationError, match="must index a mesh"):
+            net.best_path(source, destination)
+
+    @pytest.mark.parametrize("k", [1, 16, 64, 256])
+    def test_components_match_networkx(self, k):
+        nx = pytest.importorskip("networkx")
+        net = MeshNetwork(city_layout(k, k, spacing_m=60.0), "802.11a")
+        for node in range(0, k, max(k // 8, 1)):
+            assert net.component(np.int64(node)).tolist() == sorted(
+                nx.node_connected_component(net.graph, node))
+        assert net.is_connected() == nx.is_connected(net.graph)
+
+    def test_empty_mesh_is_connected(self):
+        net = MeshNetwork(np.zeros((0, 2)))
+        assert net.is_connected()
+        with pytest.raises(ConfigurationError):
+            net.component(0)
+
     def test_unknown_metric_rejected(self):
         net = MeshNetwork(line_positions(2, 5.0))
         with pytest.raises(ConfigurationError):

@@ -102,6 +102,24 @@ class TestCoverage:
             coverage_result(pos, 100.0, portal=1, rng=1,
                             n_samples=200).n_events
 
+    @pytest.mark.parametrize("n_samples", [2.5, 2.0, True, 0, -3, "10"])
+    def test_bad_sample_count_rejected(self, n_samples):
+        with pytest.raises(ConfigurationError, match="n_samples"):
+            coverage_result(grid_positions(2, 40.0), 100.0,
+                            n_samples=n_samples, rng=1)
+
+    def test_numpy_integer_sample_count_accepted(self):
+        pos = grid_positions(2, 40.0) + 30.0
+        assert coverage_result(pos, 100.0, n_samples=np.int32(300),
+                               rng=1).n_events == \
+            coverage_result(pos, 100.0, n_samples=300, rng=1).n_events
+
+    @pytest.mark.parametrize("rate", [np.nan, np.inf])
+    def test_non_finite_min_rate_rejected(self, rate):
+        with pytest.raises(ConfigurationError, match="min_rate_mbps"):
+            coverage_result(grid_positions(2, 40.0), 100.0,
+                            min_rate_mbps=rate, rng=1)
+
     def test_non_finite_mesh_position_rejected(self):
         with pytest.raises(ConfigurationError):
             coverage_result(np.array([[0.0, 0.0], [np.nan, 0.0]]), 100.0,
@@ -160,14 +178,15 @@ def access_link():
 
 
 def reference_covered(positions, side, n_samples, seed, link=None,
-                      max_per=0.1, min_rate_mbps=6.0, portal=0):
+                      max_per=0.1, min_rate_mbps=6.0, portal=0,
+                      standard="802.11a"):
     """Covered count from the full ``(m, n, 2)`` distance matrix.
 
     Reachability is tested node by node with ``nx.has_path``; the sample
     points are the same ``n_samples`` uniform draws the engine makes.
     """
     budget = LinkBudget()
-    std = get_standard("802.11a")
+    std = get_standard(standard)
     net = MeshNetwork(positions, std, budget)
     reach = [j for j in range(len(positions))
              if nx.has_path(net.graph, portal, j)]
@@ -193,6 +212,15 @@ def layout(kind, seed):
             + jitter[:3]
     if kind == "all-reachable":
         return grid_positions(3, 55.0) + 65.0 + jitter
+    if kind == "city-1000":
+        # K=1000 on a 100 m grid with +-25 m jitter, in a 3200 m square.
+        return grid_positions(32, 100.0)[:1000] + 50.0 \
+            + rng.uniform(-25.0, 25.0, (1000, 2))
+    if kind == "tied-grid":
+        # Grid-aligned, four nodes doubled: link distances tie exactly,
+        # and a doubled node is two exactly equidistant nearest points.
+        grid = grid_positions(4, 50.0) + 45.0
+        return np.concatenate([grid, grid[[0, 5, 10, 15]]])
     # Two 2x2 clusters far apart: only the portal's cluster counts.
     near = grid_positions(2, 50.0) + 30.0
     far = grid_positions(2, 50.0) + 170.0
@@ -221,4 +249,23 @@ class TestCoverageMatchesDistanceMatrix:
                                  **kwargs)
         assert result.n_events == reference_covered(
             positions, self.AREA, self.N_SAMPLES, seed, link=link)
+        assert 0 < result.n_events < self.N_SAMPLES
+
+    # kind -> (area side in m, standard of the mesh links)
+    WIDE = {"city-1000": (3200.0, "802.11b"), "tied-grid": (400.0, "802.11a")}
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("kind", sorted(WIDE))
+    @pytest.mark.parametrize("with_link", [False, True])
+    def test_city_scale_and_tied_layouts(self, kind, seed, with_link):
+        side, standard = self.WIDE[kind]
+        positions = layout(kind, seed)
+        link = access_link() if with_link else None
+        kwargs = {"link": link} if with_link else {}
+        result = coverage_result(positions, side, standard=standard,
+                                 n_samples=self.N_SAMPLES, rng=seed,
+                                 **kwargs)
+        assert result.n_events == reference_covered(
+            positions, side, self.N_SAMPLES, seed, link=link,
+            standard=standard)
         assert 0 < result.n_events < self.N_SAMPLES
