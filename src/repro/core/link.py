@@ -370,8 +370,7 @@ class LinkSimulator:
                     for snr in snrs]
 
     def run_grid(self, snr_values_db, n_packets=100, payload_bytes=100, *,
-                 cross_point=True, analytic_floor=None, confidence=0.95,
-                 batch_size=50):
+                 analytic_floor=None, confidence=0.95, batch_size=50):
         """Cross-point sweep: all SNRs of this PHY in one kernel pass.
 
         Unlike :meth:`waterfall` (which runs the points one after the
@@ -379,15 +378,14 @@ class LinkSimulator:
         channel / noise realisation per trial index across every SNR
         (common random numbers) and amortises each transmit over all of
         them. Consumes exactly one draw from ``self.rng`` regardless of
-        grid shape, so ``cross_point=True`` and the per-point reference
-        ``cross_point=False`` are bit-identical. OFDM PHYs on
-        awgn/rayleigh channels only; returns one result per SNR.
+        grid shape, so a grid and its cells run one at a time as
+        one-cell grids are bit-identical. OFDM PHYs on awgn/rayleigh
+        channels only; returns one result per SNR.
         """
         return run_link_grid(
             [self.phy_name], snr_values_db, n_packets, payload_bytes,
-            channel=self.channel_name, cross_point=cross_point,
-            analytic_floor=analytic_floor, confidence=confidence,
-            batch_size=batch_size, rng=self.rng)[0]
+            channel=self.channel_name, analytic_floor=analytic_floor,
+            confidence=confidence, batch_size=batch_size, rng=self.rng)[0]
 
     def snr_for_per(self, target_per=0.1, lo_db=-5.0, hi_db=45.0,
                     n_packets=100, payload_bytes=100, tolerance_db=0.5,
@@ -497,13 +495,12 @@ def grid_trial_draws(entropy, t, payload_bytes, n_max, channel):
     """Base draws for grid trial ``t``: (payload, h, noise).
 
     One substream per trial index, derived only from ``entropy`` — the
-    property both grid execution modes (cross-point and per-point) rely
-    on for bit-identity. The noise normals are drawn interleaved
-    (re, im) per sample so that a shorter PHY's noise vector is an
-    exact prefix of a longer draw from the same substream: a grid
-    called one rate at a time (perfbench's per-rate ``link-grid``
-    calls) sees the same noise as one multi-rate grid, whose draws are
-    sized for its longest PHY.
+    property a grid and its one-cell grids rely on for bit-identity.
+    The noise normals are drawn interleaved (re, im) per sample so that
+    a shorter PHY's noise vector is an exact prefix of a longer draw
+    from the same substream: a grid called one rate at a time
+    (perfbench's per-rate ``link-grid`` calls) sees the same noise as
+    one multi-rate grid, whose draws are sized for its longest PHY.
     """
     g = np.random.default_rng(
         np.random.SeedSequence(entropy, spawn_key=(int(t),)))
@@ -733,8 +730,8 @@ def _analytic_floor(floor):
 
 
 def run_link_grid(phys, snr_values_db, n_packets=100, payload_bytes=100, *,
-                  channel="awgn", cross_point=True, analytic_floor=None,
-                  confidence=0.95, batch_size=50, rng=None):
+                  channel="awgn", analytic_floor=None, confidence=0.95,
+                  batch_size=50, rng=None):
     """Run a whole (rate, SNR) grid through shared kernel invocations.
 
     The cross-point batcher behind :meth:`LinkSimulator.run_grid`. Trial
@@ -744,9 +741,9 @@ def run_link_grid(phys, snr_values_db, n_packets=100, payload_bytes=100, *,
     coding / modulation happen once per rate (not once per SNR), and
     noise scaling is the only per-SNR work. Because draws hang off the
     trial index rather than a generator threaded through the points,
-    ``cross_point=False`` (the per-point reference execution, one
-    engine run per grid point) is bit-identical to the batched path —
-    the property the grid tests pin down.
+    each cell run alone as a one-cell grid with the same ``rng`` is
+    bit-identical to the batched path — the property the grid tests
+    pin down.
 
     Parameters
     ----------
@@ -791,8 +788,8 @@ def run_link_grid(phys, snr_values_db, n_packets=100, payload_bytes=100, *,
 
     n_snr = len(snrs)
     n_points = len(sims) * n_snr
-    # One draw regardless of grid shape or execution mode: the entropy
-    # seeds per-trial substreams, so draws depend only on the trial index.
+    # One draw regardless of grid shape: the entropy seeds per-trial
+    # substreams, so draws depend only on the trial index.
     entropy = int(as_generator(rng).integers(0, 2 ** 63))
     source = TrialSubstreams(entropy, channel)
     grid_fn = _grid_fn([(sim, snr_lin, source) for sim in sims
@@ -807,26 +804,10 @@ def run_link_grid(phys, snr_values_db, n_packets=100, payload_bytes=100, *,
     analytic = {idx: cell["per"] for idx, cell in bounds.items()}
 
     with obs.span("link.grid", n_phys=len(sims), n_snrs=n_snr,
-                  cross_point=bool(cross_point),
                   n_analytic=len(analytic)) as span, obs.timed() as clock:
-        if cross_point:
-            mcs = run_grid_trials(
-                grid_fn, n_packets, n_points, target="packet_error",
-                batch_size=batch_size, analytic=analytic,
-                confidence=confidence)
-        else:
-            # Per-point reference execution: same draws, one engine run
-            # per grid point. Exists to *prove* the batched path right.
-            mcs = []
-            for idx in range(n_points):
-                def one_point(lo, hi, points, _idx=idx):
-                    return grid_fn(lo, hi, np.array([_idx], dtype=np.int64))
-                mcs.extend(run_grid_trials(
-                    one_point, n_packets, 1, target="packet_error",
-                    batch_size=batch_size,
-                    analytic=({0: analytic[idx]} if idx in analytic
-                              else None),
-                    confidence=confidence))
+        mcs = run_grid_trials(
+            grid_fn, n_packets, n_points, target="packet_error",
+            batch_size=batch_size, analytic=analytic, confidence=confidence)
         sent = sum(mc.n_trials for mc in mcs)
         span.set(n_packets=sent,
                  packets_per_s=(sent / clock.elapsed

@@ -277,8 +277,7 @@ def _viterbi_2d(soft, n_info_bits, rate, terminated):
     llr_a = mother[:, 0::2]
     llr_b = mother[:, 1::2]
 
-    # The ACS sweep and traceback run on the REPRO_KERNELS backend; see
-    # repro.phy.kernels for the (bit-identical) implementations.
+    # The ACS sweep and traceback are the kernels in repro.phy.kernels.
     with obs.span("phy.viterbi", rows=batch, steps=n_steps):
         decisions, metrics = kernels.viterbi_forward(llr_a, llr_b,
                                                      _SIGN_A, _SIGN_B)

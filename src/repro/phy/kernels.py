@@ -1,212 +1,27 @@
-"""Optional compiled decoder kernels with always-available numpy fallbacks.
+"""The decoder kernels: the Viterbi sweep and the LDPC min-sum update.
 
-The two Monte-Carlo hot loops — the Viterbi add-compare-select sweep
+The two Monte-Carlo hot loops, the Viterbi add-compare-select sweep
 (:mod:`repro.phy.convolutional`) and the LDPC normalised-min-sum check
-update (:mod:`repro.phy.ldpc`) — each exist in two bit-identical
-implementations:
+update (:mod:`repro.phy.ldpc`), are vectorised numpy ufunc
+formulations. The ACS sweep costs three ufunc calls per trellis step
+(add, add, maximum) over a predecessor-major candidate buffer, with the
+branch terms and decisions formed a chunk of steps at a time. The
+traceback walks a frame in blocks of at most ``CHECKED_SPAN`` steps,
+all blocks one step per Python iteration: each block guesses its top
+state from a warm-up walk, checks it against the block above and is
+walked again until every check holds. On decoder output a call costs
+100-500 Python iterations, the more the lower the SNR, where a walk one
+step at a time costs one per trellis step.
 
-``numpy``
-    Vectorised ufunc formulations. No extra dependencies; always
-    available. The ACS sweep costs three ufunc calls per trellis step
-    (add, add, maximum) over a predecessor-major candidate buffer, with
-    the branch terms and decisions formed a chunk of steps at a time.
-    The traceback walks a frame in blocks of at most ``CHECKED_SPAN``
-    steps, all blocks one step per Python iteration: each block guesses
-    its top state from a warm-up walk, checks it against the block
-    above and is walked again until every check holds. On decoder
-    output a call costs 100-500 Python iterations, the more the lower
-    the SNR, where a walk one step at a time costs one per trellis step.
-``numba``
-    ``@njit``-compiled scalar loops over the same arithmetic in the
-    same order (``fastmath`` stays *off*), so path metrics and check
-    messages are IEEE-identical to the numpy path. Requires the
-    optional ``numba`` dependency (``pip install repro[fast]``).
-
-The ``REPRO_KERNELS`` environment variable is the one switch between
-them: ``numba``, ``numpy`` or ``auto``; unset means ``auto`` (numba
-when importable, numpy otherwise). It is read on every kernel call, so
-a change takes effect on the next decode.
-
-Setting ``REPRO_KERNELS=numba`` when numba is not installed raises
-:class:`~repro.errors.ConfigurationError` on the first decode (a clean
-CLI error, exit 2), never an ``ImportError`` traceback.
-``tests/test_kernels.py`` checks every available backend against a
-plain-Python ACS and traceback, and both backends are held bit-exactly
-to the ``tests/test_phy_goldens.py`` golden vectors.
+``tests/test_kernels.py`` checks every kernel against a plain-Python
+ACS sweep, traceback and min-sum update, and the kernels are held
+bit-exactly to the ``tests/test_phy_goldens.py`` golden vectors.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-from repro.errors import ConfigurationError
-
-#: Values ``REPRO_KERNELS`` may take (``auto`` resolves to another).
-KNOWN_BACKENDS = ("auto", "numpy", "numba")
-
-_NUMBA_OK = None  # tri-state import-probe cache: None = not yet probed
-_COMPILED = {}  # name -> jitted function, filled on first numba use
-
-
-def numba_available():
-    """True when the optional numba dependency is importable."""
-    global _NUMBA_OK
-    if _NUMBA_OK is None:
-        try:
-            import numba  # noqa: F401
-            _NUMBA_OK = True
-        except Exception:
-            _NUMBA_OK = False
-    return _NUMBA_OK
-
-
-def available_backends():
-    """The resolvable backend names on this interpreter."""
-    return ("numpy", "numba") if numba_available() else ("numpy",)
-
-
-def require_backend(name):
-    """Validate that ``name`` is usable here; raise cleanly otherwise."""
-    if name not in KNOWN_BACKENDS:
-        raise ConfigurationError(
-            f"unknown kernels backend {name!r}; use one of "
-            f"{', '.join(KNOWN_BACKENDS)}"
-        )
-    if name == "numba" and not numba_available():
-        raise ConfigurationError(
-            "kernels backend 'numba' requested but numba is not "
-            "installed; install it with `pip install repro[fast]` or "
-            "select the numpy fallback (REPRO_KERNELS=numpy)"
-        )
-    return name
-
-
-def resolve_backend():
-    """Resolve ``REPRO_KERNELS`` (unset: ``auto``) to ``"numpy"``/``"numba"``.
-
-    ``auto`` picks numba when it is installed — the fallback is silent
-    by design, so an environment without the optional dependency runs
-    the identical numpy arithmetic.
-    """
-    name = require_backend(os.environ.get("REPRO_KERNELS") or "auto")
-    if name == "auto":
-        return "numba" if numba_available() else "numpy"
-    return name
-
-
-# ---------------------------------------------------------------------------
-# numba kernels (compiled lazily, only when the backend resolves to numba)
-# ---------------------------------------------------------------------------
-
-def _numba_kernels():
-    """Compile (once per process) and return the jitted kernel table.
-
-    ``fastmath`` is deliberately left off and every loop reproduces the
-    numpy formulation's operation order — ``(metric + a_branch) +
-    b_branch`` for the ACS sweep — so both backends produce the same
-    IEEE-754 doubles, not merely close ones.
-    """
-    if _COMPILED:
-        return _COMPILED
-    import numba
-
-    @numba.njit(cache=False)
-    def acs_forward(llr_a, llr_b, sign_a, sign_b, decisions, metrics):
-        """Viterbi forward sweep: fill ``decisions``, update ``metrics``.
-
-        ``llr_a``/``llr_b`` are ``(batch, n_steps)`` depunctured soft
-        bits, ``sign_a``/``sign_b`` are the ``(64, 2)`` expected-output
-        sign tables indexed ``[next_state, predecessor]``, ``decisions``
-        is ``(n_steps, batch, 64)`` bool and ``metrics`` is the
-        ``(batch, 64)`` path-metric array (updated in place).
-        """
-        n_steps = llr_a.shape[1]
-        batch = llr_a.shape[0]
-        new = np.empty(64)
-        for t in range(n_steps):
-            for b in range(batch):
-                la = llr_a[b, t]
-                lb = llr_b[b, t]
-                for ns in range(64):
-                    pred0 = (ns & 31) << 1
-                    c0 = (metrics[b, pred0] + sign_a[ns, 0] * la) \
-                        + sign_b[ns, 0] * lb
-                    c1 = (metrics[b, pred0 | 1] + sign_a[ns, 1] * la) \
-                        + sign_b[ns, 1] * lb
-                    take1 = c1 > c0
-                    decisions[t, b, ns] = take1
-                    new[ns] = c1 if take1 else c0
-                for ns in range(64):
-                    metrics[b, ns] = new[ns]
-
-    @numba.njit(cache=False)
-    def traceback(decisions, start_states, decoded):
-        """Trace survivors backwards; fills ``decoded`` (batch, n_steps)."""
-        n_steps = decisions.shape[0]
-        batch = decisions.shape[1]
-        for b in range(batch):
-            state = start_states[b]
-            for t in range(n_steps - 1, -1, -1):
-                decoded[b, t] = state >> 5
-                pred0 = (state & 31) << 1
-                state = pred0 | 1 if decisions[t, b, state] else pred0
-
-    @numba.njit(cache=False)
-    def min_sum_check(m_vc, starts, counts, normalisation, clip, out):
-        """Normalised min-sum check update over check-sorted edges.
-
-        Exactly the numpy formulation: per check, the outgoing
-        magnitude on each edge is the minimum over the *other* edges
-        (min1, or min2 on the unique-minimum edge), the sign is the
-        product of the other edges' signs, and the result is
-        ``(normalisation * sign) * magnitude`` clipped to ``clip``.
-        """
-        n_checks = starts.shape[0]
-        for c in range(n_checks):
-            lo = starts[c]
-            hi = lo + counts[c]
-            min1 = np.inf
-            min2 = np.inf
-            n_min = 0
-            sign_prod = 1.0
-            for e in range(lo, hi):
-                v = m_vc[e]
-                if v < 0.0:
-                    sign_prod = -sign_prod
-                    v = -v
-                if v < min1:
-                    min2 = min1
-                    min1 = v
-                    n_min = 1
-                elif v == min1:
-                    n_min += 1
-                else:
-                    if v < min2:
-                        min2 = v
-            if n_min > 1:
-                min2 = min1
-            for e in range(lo, hi):
-                v = m_vc[e]
-                sign = -1.0 if v < 0.0 else 1.0
-                mag = -v if v < 0.0 else v
-                others = min2 if (mag == min1 and n_min == 1) else min1
-                value = (normalisation * (sign_prod * sign)) * others
-                if value > clip:
-                    value = clip
-                elif value < -clip:
-                    value = -clip
-                out[e] = value
-
-    _COMPILED.update(acs_forward=acs_forward, traceback=traceback,
-                     min_sum_check=min_sum_check)
-    return _COMPILED
-
-
-# ---------------------------------------------------------------------------
-# Dispatching kernel entry points
-# ---------------------------------------------------------------------------
 
 def viterbi_forward(llr_a, llr_b, sign_a, sign_b):
     """Run the ACS sweep; returns ``(decisions, final_metrics)``.
@@ -218,13 +33,8 @@ def viterbi_forward(llr_a, llr_b, sign_a, sign_b):
     metrics = np.full((batch, 64), -np.inf)
     metrics[:, 0] = 0.0
     decisions = np.empty((n_steps, batch, 64), dtype=bool)
-    if resolve_backend() == "numba":
-        _numba_kernels()["acs_forward"](
-            np.ascontiguousarray(llr_a), np.ascontiguousarray(llr_b),
-            sign_a, sign_b, decisions, metrics)
-        return decisions, metrics
-    # numpy: one trellis step is three whole-array ufunc calls writing
-    # into preallocated chunk buffers. State h*32+i (h = input bit) has
+    # One trellis step is three whole-array ufunc calls writing into
+    # preallocated chunk buffers. State h*32+i (h = input bit) has
     # predecessors 2i+p, p in {0, 1}, whatever h is, so the candidates
     # are laid out predecessor-major as [p, batch, h, i]: the predecessor
     # metrics are metrics.reshape(batch, 32, 2) transposed to [p, batch,
@@ -235,8 +45,7 @@ def viterbi_forward(llr_a, llr_b, sign_a, sign_b):
     # own slot of the a-branch buffer, so the chunk's candidates are all
     # kept and one np.greater per chunk forms the chunk's decisions.
     # Additions stay in the exact (metric + a-branch) + b-branch order of
-    # the scalar formulation, so path metrics are bit-identical to it
-    # (and to the numba loop).
+    # the scalar formulation, so path metrics are bit-identical to it.
     # maximum(c1, c0) gives the value the scalar c1 > c0 select gives; it
     # may differ only in a zero's sign, which no later comparison sees,
     # and on NaN, which finite LLRs never produce.
@@ -265,7 +74,7 @@ def viterbi_forward(llr_a, llr_b, sign_a, sign_b):
     return decisions, metrics
 
 
-#: Values each of the numpy ACS sweep's two chunk buffers holds at most:
+#: Values each of the ACS sweep's two chunk buffers holds at most:
 #: the a- and b-branch terms, each laid out [step, p, batch, h, i], the
 #: first overwritten step by step with the candidates. The chunk of
 #: trellis steps shrinks as the batch grows, so neither buffer grows past
@@ -275,14 +84,14 @@ ACS_CHUNK_VALUES = 1 << 15
 #: it keeps their buffers and per-step views small at no cost in time.
 ACS_CHUNK_STEPS = 64
 
-#: Longest block and warm-up depth, in trellis steps, of the numpy
-#: traceback (``_checked_traceback``).
+#: Longest block and warm-up depth, in trellis steps, of the traceback
+#: (``_checked_traceback``).
 CHECKED_SPAN = 64
 CHECKED_WARM_UP = 48
 
 
 def acs_chunk(batch):
-    """Trellis steps whose branch terms the numpy sweep forms at once."""
+    """Trellis steps whose branch terms the ACS sweep forms at once."""
     return max(1, min(ACS_CHUNK_STEPS,
                       ACS_CHUNK_VALUES // (128 * max(1, int(batch)))))
 
@@ -290,16 +99,10 @@ def acs_chunk(batch):
 def viterbi_traceback(decisions, start_states):
     """Walk the survivor memory backwards; returns (batch, n_steps) bits.
 
-    On numpy the checked block walk (``_checked_traceback``) returns
-    the bits a one-step-at-a-time walk returns.
+    The checked block walk (``_checked_traceback``) returns the bits a
+    one-step-at-a-time walk returns.
     """
     n_steps, batch, _ = decisions.shape
-    if resolve_backend() == "numba":
-        decoded = np.empty((batch, n_steps), dtype=np.int8)
-        _numba_kernels()["traceback"](
-            decisions, np.ascontiguousarray(start_states, dtype=np.int64),
-            decoded)
-        return decoded
     if not n_steps:
         return np.empty((batch, 0), dtype=np.int8)
     return _checked_traceback(np.ascontiguousarray(decisions, dtype=bool),
@@ -379,14 +182,6 @@ def _walk(bits, base, states):
 
 def min_sum_check_update(m_vc, starts, counts, normalisation, clip):
     """Normalised min-sum check-node update (check-sorted edge order)."""
-    if resolve_backend() == "numba":
-        out = np.empty_like(m_vc)
-        _numba_kernels()["min_sum_check"](
-            np.ascontiguousarray(m_vc, dtype=np.float64),
-            np.ascontiguousarray(starts, dtype=np.int64),
-            np.ascontiguousarray(counts, dtype=np.int64),
-            float(normalisation), float(clip), out)
-        return out
     mags = np.abs(m_vc)
     signs = np.where(m_vc < 0, -1.0, 1.0)
     sign_prod = np.multiply.reduceat(signs, starts)

@@ -404,8 +404,7 @@ class LdpcCode:
     def _check_update(self, m_vc, algorithm, normalisation):
         starts = self._check_starts
         if algorithm == "min-sum":
-            # Hot BP kernel: dispatched to the REPRO_KERNELS (numpy or
-            # numba, bit-identical) backend in repro.phy.kernels.
+            # Hot BP kernel: the min-sum update in repro.phy.kernels.
             return kernels.min_sum_check_update(
                 m_vc, starts, self._check_counts, normalisation, _MSG_CLIP)
         # sum-product via tanh rule, excluding self by division in the

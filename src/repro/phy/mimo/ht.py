@@ -178,10 +178,6 @@ class HtPhy:
     def _time_to_freq(self, samples):
         return np.fft.fft(samples, axis=-1) * (np.sqrt(self.n_used) / self.fft_size)
 
-    def _ofdm_symbol(self, data_carriers):
-        """One stream's OFDM symbol (data carriers already scaled)."""
-        return self._ofdm_symbols(np.asarray(data_carriers)[None, :])[0]
-
     def _ofdm_symbols(self, data_carriers):
         """CP-prefixed OFDM symbols for a (n_sym, n_data_sc) carrier block."""
         n_sym = data_carriers.shape[0]

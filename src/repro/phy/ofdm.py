@@ -344,10 +344,6 @@ class OfdmPhy:
 
     # -- RX -----------------------------------------------------------------
 
-    def _fft_symbol(self, samples):
-        body = samples[OFDM_CP_LENGTH:OFDM_SYMBOL_SAMPLES]
-        return np.fft.fft(body) * (np.sqrt(len(_USED_BINS)) / OFDM_FFT_SIZE)
-
     @staticmethod
     def _fft_symbols(blocks):
         """Strip the CP and FFT a stack of 80-sample symbols along the last axis."""

@@ -283,9 +283,8 @@ class TestRunner:
     def test_kernels_param_is_ignored_and_keeps_its_key(self):
         """Old specs may carry ``kernels``: it loads, keys, and is not read.
 
-        ``REPRO_KERNELS`` alone picks the decoder, so a spec asking for
-        numba runs ``ok`` on a host without it, under the key such a
-        spec has always had.
+        A spec asking for numba runs ``ok`` under the key such a spec
+        has always had.
         """
         spec = quick_spec(
             factors={"phy": ["ofdm-6"]},

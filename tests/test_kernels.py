@@ -1,97 +1,17 @@
-"""Kernel backend registry, numpy/numba parity, and hot-path caching.
+"""The decoder kernels against plain-Python references, and plan caching.
 
-The numba half of the parity matrix only runs where numba is installed
-(the ``kernels-parity`` CI job); everywhere else those tests skip and
-the numpy fallback — the reference arithmetic — is what's exercised.
+The Viterbi sweep and traceback are checked against a plain-Python ACS
+and traceback straight from the code's generators, the LDPC min-sum
+check update against a plain-Python loop over the check-sorted edges.
 """
-
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from repro.errors import ConfigurationError
 from repro.phy import convolutional as cc
 from repro.phy import kernels
 from repro.phy.ldpc import LdpcCode
-
-GOLDENS_PATH = os.path.join(os.path.dirname(__file__), "goldens",
-                            "phy_goldens.npz")
-
-needs_numba = pytest.mark.skipif(not kernels.numba_available(),
-                                 reason="numba not installed")
-
-
-@pytest.fixture(autouse=True)
-def _clean_backend_state(monkeypatch):
-    """Start every test with ``REPRO_KERNELS`` unset (``auto``)."""
-    monkeypatch.delenv("REPRO_KERNELS", raising=False)
-
-
-def _under(monkeypatch, backend, fn, *args, **kwargs):
-    """Call ``fn`` with ``REPRO_KERNELS`` set to ``backend``."""
-    monkeypatch.setenv("REPRO_KERNELS", backend)
-    return fn(*args, **kwargs)
-
-
-class TestBackendRegistry:
-    def test_numpy_always_available(self):
-        assert "numpy" in kernels.available_backends()
-
-    def test_resolve_default_is_numpy_without_numba(self):
-        if not kernels.numba_available():
-            assert kernels.resolve_backend() == "numpy"
-
-    def test_resolve_env(self, monkeypatch):
-        assert _under(monkeypatch, "numpy", kernels.resolve_backend) == "numpy"
-
-    def test_unknown_backend_rejected(self, monkeypatch):
-        with pytest.raises(ConfigurationError, match="unknown kernels"):
-            kernels.require_backend("fortran")
-        with pytest.raises(ConfigurationError, match="unknown kernels"):
-            _under(monkeypatch, "fortran", kernels.resolve_backend)
-
-    def test_numba_missing_is_clean_error(self, monkeypatch):
-        if kernels.numba_available():
-            pytest.skip("numba installed here")
-        with pytest.raises(ConfigurationError, match="repro\\[fast\\]"):
-            kernels.require_backend("numba")
-        with pytest.raises(ConfigurationError, match="repro\\[fast\\]"):
-            _under(monkeypatch, "numba", kernels.resolve_backend)
-
-    def test_require_numpy_ok(self):
-        assert kernels.require_backend("numpy") == "numpy"
-
-
-class TestCliKernelsFlag:
-    """``repro link`` under the ``REPRO_KERNELS`` environment switch."""
-
-    def test_link_kernels_numba_missing_exits_2(self):
-        """`REPRO_KERNELS=numba repro link` fails cleanly, no traceback."""
-        if kernels.numba_available():
-            pytest.skip("numba installed here")
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro", "link", "ofdm-6", "awgn", "20",
-             "--packets", "1", "--bytes", "20"],
-            capture_output=True, text=True,
-            env={**os.environ, "REPRO_KERNELS": "numba",
-                 "PYTHONPATH": os.path.join(os.path.dirname(__file__),
-                                            os.pardir, "src")})
-        assert proc.returncode == 2
-        assert "error:" in proc.stderr
-        assert "repro[fast]" in proc.stderr
-        assert "Traceback" not in proc.stderr
-
-    def test_link_kernels_numpy_runs(self, capsys, monkeypatch):
-        from repro.cli import main
-
-        assert _under(monkeypatch, "numpy", main,
-                      ["link", "ofdm-6", "awgn", "20", "--packets", "2",
-                       "--bytes", "20"]) == 0
-        assert "PER" in capsys.readouterr().out
 
 
 def _random_soft(rng, n_info, rate, terminated=True):
@@ -100,107 +20,6 @@ def _random_soft(rng, n_info, rate, terminated=True):
     soft = 1.0 - 2.0 * coded.astype(float)
     soft += 0.6 * rng.normal(size=soft.shape)
     return bits, soft
-
-
-class TestNumpyDecoderEquivalence:
-    """REPRO_KERNELS=numpy must be THE decoder, not a sibling."""
-
-    @pytest.mark.parametrize("rate", ["1/2", "2/3", "3/4"])
-    def test_viterbi_backend_arg_is_noop(self, rate, monkeypatch):
-        rng = np.random.default_rng(5)
-        _, soft = _random_soft(rng, 120, rate)
-        base = cc.viterbi_decode(soft, 120, rate=rate)
-        assert_array_equal(base, _under(monkeypatch, "numpy",
-                                        cc.viterbi_decode, soft, 120,
-                                        rate=rate))
-
-    def test_viterbi_batch_and_env(self, monkeypatch):
-        rng = np.random.default_rng(6)
-        soft = np.stack([_random_soft(rng, 80, "1/2")[1]
-                         for _ in range(4)])
-        base = cc.viterbi_decode(soft, 80)
-        assert_array_equal(base, _under(monkeypatch, "numpy",
-                                        cc.viterbi_decode, soft, 80))
-
-    def test_ldpc_backend_arg_is_noop(self, monkeypatch):
-        rng = np.random.default_rng(7)
-        code = LdpcCode.from_standard(648, "1/2")
-        n_info = int(round(648 * code.rate))
-        bits = rng.integers(0, 2, n_info).astype(np.uint8)
-        llr = (1.0 - 2.0 * code.encode(bits).astype(float)
-               + 0.8 * rng.normal(size=648))
-        a = code.decode(llr, max_iterations=12)
-        b = _under(monkeypatch, "numpy", code.decode, llr, max_iterations=12)
-        assert a[1:] == b[1:]
-        assert_array_equal(a[0], b[0])
-
-
-@needs_numba
-class TestNumbaParity:
-    """Bit-exact numba-vs-numpy parity on random and golden vectors."""
-
-    @pytest.mark.parametrize("rate", ["1/2", "2/3", "3/4", "5/6"])
-    @pytest.mark.parametrize("terminated", [True, False])
-    def test_viterbi_random(self, rate, terminated, monkeypatch):
-        rng = np.random.default_rng(11)
-        for n_info in (24, 97, 200):
-            _, soft = _random_soft(rng, n_info, rate, terminated)
-            assert_array_equal(
-                _under(monkeypatch, "numpy", cc.viterbi_decode, soft,
-                       n_info, rate=rate, terminated=terminated),
-                _under(monkeypatch, "numba", cc.viterbi_decode, soft,
-                       n_info, rate=rate, terminated=terminated))
-
-    def test_viterbi_batch(self, monkeypatch):
-        rng = np.random.default_rng(12)
-        soft = np.stack([_random_soft(rng, 60, "3/4")[1]
-                         for _ in range(5)])
-        assert_array_equal(
-            _under(monkeypatch, "numpy", cc.viterbi_decode, soft, 60,
-                   rate="3/4"),
-            _under(monkeypatch, "numba", cc.viterbi_decode, soft, 60,
-                   rate="3/4"))
-
-    @pytest.mark.parametrize("tag,rate", [("12", "1/2"), ("23", "2/3"),
-                                          ("34", "3/4"), ("56", "5/6")])
-    def test_viterbi_goldens(self, tag, rate, monkeypatch):
-        gold = np.load(GOLDENS_PATH)
-        decoded = _under(monkeypatch, "numba", cc.viterbi_decode,
-                         gold[f"cc_soft_{tag}"], 500, rate=rate)
-        assert_array_equal(decoded, gold[f"cc_dec_{tag}"])
-
-    def test_min_sum_parity(self, monkeypatch):
-        rng = np.random.default_rng(13)
-        code = LdpcCode.from_standard(648, "1/2")
-        n_info = int(round(648 * code.rate))
-        for snr_scale in (0.5, 0.9, 1.5):
-            bits = rng.integers(0, 2, n_info).astype(np.uint8)
-            llr = (1.0 - 2.0 * code.encode(bits).astype(float)
-                   + snr_scale * rng.normal(size=648))
-            a = _under(monkeypatch, "numpy", code.decode, llr,
-                       max_iterations=20)
-            b = _under(monkeypatch, "numba", code.decode, llr,
-                       max_iterations=20)
-            assert a[1:] == b[1:]
-            assert_array_equal(a[0], b[0])
-
-    def test_raw_kernel_parity(self, monkeypatch):
-        """Kernel-level parity, decisions and final metrics included."""
-        rng = np.random.default_rng(14)
-        llr_a = rng.normal(size=(3, 40))
-        llr_b = rng.normal(size=(3, 40))
-        d_np, m_np = _under(monkeypatch, "numpy", kernels.viterbi_forward,
-                            llr_a, llr_b, cc._SIGN_A, cc._SIGN_B)
-        d_nb, m_nb = _under(monkeypatch, "numba", kernels.viterbi_forward,
-                            llr_a, llr_b, cc._SIGN_A, cc._SIGN_B)
-        assert_array_equal(d_np, d_nb)
-        assert_array_equal(m_np, m_nb)
-        start = np.argmax(m_np, axis=1)
-        assert_array_equal(
-            _under(monkeypatch, "numpy", kernels.viterbi_traceback,
-                   d_np, start),
-            _under(monkeypatch, "numba", kernels.viterbi_traceback,
-                   d_np, start))
 
 
 def _parity(value):
@@ -257,7 +76,7 @@ REFERENCE_BATCHES = (1, 2, 5, 8, 9, 33)
 
 
 def _reference_cases():
-    """(batch, n_steps) pairs around every numpy walk and chunk boundary.
+    """(batch, n_steps) pairs around every walk and chunk boundary.
 
     1 and 8 steps make single-step and single-block walks, 24 is the
     SIGNAL field. 63-65 straddle the traceback's one and two blocks,
@@ -281,8 +100,14 @@ def _reference_starts(batch, metrics):
     return (np.zeros(batch, dtype=np.int64), np.argmax(metrics, axis=1))
 
 
+def _numpy_ids(cases):
+    """Ids of ``cases`` with the ``-numpy`` tail, naming the kernels."""
+    return ["-".join(map(str, case if isinstance(case, tuple) else (case,)))
+            + "-numpy" for case in cases]
+
+
 class TestReferenceDecoder:
-    """Every backend equals a plain-Python ACS and traceback.
+    """The kernels equal a plain-Python ACS and traceback.
 
     Decisions and decoded bits must match bit for bit and final metrics
     in value (a zero's sign is free: no later comparison can see it).
@@ -291,12 +116,10 @@ class TestReferenceDecoder:
     exercised as well as the -inf start metrics of the unreached states.
     """
 
-    @pytest.mark.parametrize("backend", kernels.available_backends())
-    @pytest.mark.parametrize("batch,n_steps", _reference_cases())
+    @pytest.mark.parametrize("batch,n_steps", _reference_cases(),
+                             ids=_numpy_ids(_reference_cases()))
     @pytest.mark.parametrize("style", ["soft", "hard"])
-    def test_matches_reference(self, backend, batch, n_steps, style,
-                               monkeypatch):
-        monkeypatch.setenv("REPRO_KERNELS", backend)
+    def test_matches_reference(self, batch, n_steps, style):
         rng = np.random.default_rng([batch, n_steps])
         shape = (batch, n_steps)
         if style == "soft":
@@ -316,11 +139,10 @@ class TestReferenceDecoder:
                 kernels.viterbi_traceback(dec, start),
                 _reference_traceback(want_dec, start))
 
-    @pytest.mark.parametrize("backend", kernels.available_backends())
-    @pytest.mark.parametrize("batch", REFERENCE_BATCHES)
+    @pytest.mark.parametrize("batch", REFERENCE_BATCHES,
+                             ids=_numpy_ids(REFERENCE_BATCHES))
     @pytest.mark.parametrize("pattern", ["random", "rotate"])
-    def test_long_frame_traceback(self, backend, batch, pattern,
-                                  monkeypatch):
+    def test_long_frame_traceback(self, batch, pattern):
         """A 12,096-step frame (1500 bytes at 6 Mbps), traceback only.
 
         Random decisions are what a noise-only frame gives: survivors
@@ -329,7 +151,6 @@ class TestReferenceDecoder:
         states (the odd predecessor wins exactly for states >= 32), so
         survivors never merge and every guess but a lucky one fails.
         """
-        monkeypatch.setenv("REPRO_KERNELS", backend)
         rng = np.random.default_rng([batch, 12096])
         if pattern == "random":
             dec = rng.random((12096, batch, 64)) < 0.5
@@ -339,17 +160,102 @@ class TestReferenceDecoder:
         assert_array_equal(kernels.viterbi_traceback(dec, start),
                            _reference_traceback(dec, start))
 
-    @pytest.mark.parametrize("backend", kernels.available_backends())
-    @pytest.mark.parametrize("rate", sorted(cc.PUNCTURE_PATTERNS))
-    def test_long_frame_round_trip(self, backend, rate, monkeypatch):
+    @pytest.mark.parametrize("rate", sorted(cc.PUNCTURE_PATTERNS),
+                             ids=_numpy_ids(sorted(cc.PUNCTURE_PATTERNS)))
+    def test_long_frame_round_trip(self, rate):
         """Two noiseless 1500-byte frames decode to what was sent."""
-        monkeypatch.setenv("REPRO_KERNELS", backend)
         rng = np.random.default_rng(1500)
         bits = rng.integers(0, 2, (2, 8 * 1500)).astype(np.uint8)
         soft = np.stack([cc.hard_to_soft(cc.encode_punctured(row, rate))
                          for row in bits])
         assert_array_equal(cc.viterbi_decode(soft, bits.shape[1], rate=rate),
                            bits)
+
+
+def _reference_min_sum(m_vc, starts, counts, normalisation, clip):
+    """Plain-Python normalised min-sum over check-sorted edges.
+
+    Per check, the outgoing magnitude on each edge is the minimum over
+    the *other* edges (min1, or min2 on the unique-minimum edge), the
+    sign is the product of the other edges' signs, and the result is
+    ``(normalisation * sign) * magnitude`` clipped to ``clip``.
+    """
+    out = np.empty(len(m_vc))
+    for lo, count in zip(starts, counts):
+        hi = lo + count
+        min1 = min2 = np.inf
+        n_min = 0
+        sign_prod = 1.0
+        for e in range(lo, hi):
+            v = m_vc[e]
+            if v < 0.0:
+                sign_prod = -sign_prod
+                v = -v
+            if v < min1:
+                min2 = min1
+                min1 = v
+                n_min = 1
+            elif v == min1:
+                n_min += 1
+            elif v < min2:
+                min2 = v
+        if n_min > 1:
+            min2 = min1
+        for e in range(lo, hi):
+            v = m_vc[e]
+            sign = -1.0 if v < 0.0 else 1.0
+            mag = -v if v < 0.0 else v
+            others = min2 if (mag == min1 and n_min == 1) else min1
+            value = (normalisation * (sign_prod * sign)) * others
+            out[e] = min(max(value, -clip), clip)
+    return out
+
+
+def _random_edge_set(rng, clip):
+    """Check-sorted edges of 1-40 checks of degree 1-12.
+
+    Messages are integer-valued in [-6, 6], so equal minima are common,
+    with a share replaced by -0.0, 0.0 and values beyond ``clip``.
+    """
+    counts = rng.integers(1, 13, rng.integers(1, 41))
+    starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
+    m_vc = rng.integers(-6, 7, counts.sum()).astype(float)
+    special = np.array([-0.0, 0.0, clip + 1.0, -(clip + 1.0), 4.0 * clip])
+    pick = rng.random(m_vc.size) < 0.2
+    m_vc[pick] = rng.choice(special, pick.sum())
+    return m_vc, starts, counts
+
+
+class TestReferenceMinSum:
+    """The min-sum kernel equals a plain-Python check update.
+
+    Messages must match in value (a zero's sign is free: the variable
+    update adds messages, and an added zero changes no hard decision).
+    """
+
+    @pytest.mark.parametrize("normalisation", [0.8, 1.0])
+    def test_random_edge_sets(self, normalisation):
+        rng = np.random.default_rng([13, int(10 * normalisation)])
+        clip = 25.0
+        for _ in range(150):
+            m_vc, starts, counts = _random_edge_set(rng, clip)
+            assert_array_equal(
+                kernels.min_sum_check_update(m_vc, starts, counts,
+                                             normalisation, clip),
+                _reference_min_sum(m_vc, starts, counts, normalisation,
+                                   clip))
+
+    def test_standard_code_edges(self):
+        """The (648, 1/2) code's own edges with noisy soft messages."""
+        code = LdpcCode.from_standard(648, "1/2")
+        starts, counts = code._check_starts, code._check_counts
+        rng = np.random.default_rng(14)
+        for scale in (0.5, 2.0, 30.0):
+            m_vc = scale * rng.normal(size=counts.sum())
+            assert_array_equal(
+                kernels.min_sum_check_update(m_vc, starts, counts, 0.8,
+                                             25.0),
+                _reference_min_sum(m_vc, starts, counts, 0.8, 25.0))
 
 
 class TestDecodePlanCache:

@@ -1,8 +1,8 @@
 """Cross-point grids and the analytic fast path.
 
 The contract under test, end to end: fixed-budget results are
-bit-identical across cross-point vs per-point execution, batch shapes,
-per-rate vs multi-rate grid calls, and worker counts — and
+bit-identical across a grid vs its cells run as one-cell grids, batch
+shapes, per-rate vs multi-rate grid calls, and worker counts — and
 ``stop_reason="analytic"`` records flow through engine, link, store,
 report and CLI without losing their meaning.
 """
@@ -27,6 +27,13 @@ PHYS = ["ofdm-6", "ofdm-24"]
 def _counts(results):
     return [(r.n_packets, r.n_packet_errors, r.n_bit_errors)
             for r in results]
+
+
+def _cell_by_cell(phys, snrs, **kwargs):
+    """``run_link_grid`` run one cell at a time, each with the same seed."""
+    phys = [phys] if isinstance(phys, str) else phys
+    return [[run_link_grid(phy, [snr], **kwargs)[0][0] for snr in snrs]
+            for phy in phys]
 
 
 class TestRunGridTrials:
@@ -189,18 +196,15 @@ class TestRunGridTrialsAdaptive:
 
 class TestCrossPointIdentity:
     def test_awgn_multi_phy(self):
-        a = run_link_grid(PHYS, SNRS, n_packets=6, payload_bytes=40,
-                          rng=7, cross_point=True)
-        b = run_link_grid(PHYS, SNRS, n_packets=6, payload_bytes=40,
-                          rng=7, cross_point=False)
+        a = run_link_grid(PHYS, SNRS, n_packets=6, payload_bytes=40, rng=7)
+        b = _cell_by_cell(PHYS, SNRS, n_packets=6, payload_bytes=40, rng=7)
         assert _counts(sum(a, [])) == _counts(sum(b, []))
 
     def test_rayleigh(self):
         a = run_link_grid("ofdm-12", [8.0, 20.0], n_packets=6,
                           payload_bytes=30, channel="rayleigh", rng=5)
-        b = run_link_grid("ofdm-12", [8.0, 20.0], n_packets=6,
-                          payload_bytes=30, channel="rayleigh", rng=5,
-                          cross_point=False)
+        b = _cell_by_cell("ofdm-12", [8.0, 20.0], n_packets=6,
+                          payload_bytes=30, channel="rayleigh", rng=5)
         assert _counts(a[0]) == _counts(b[0])
 
     def test_batch_size_invariance(self):
@@ -282,8 +286,7 @@ class TestStackedReceive:
         decode_calls["receive"].clear()
         split = run_link_grid("ofdm-24", snrs, **kwargs)
         assert decode_calls["receive"] == [12, 6]
-        per_point = run_link_grid("ofdm-24", snrs, cross_point=False,
-                                  **kwargs)
+        per_point = _cell_by_cell("ofdm-24", snrs, **kwargs)
         assert _counts(split[0]) == _counts(whole[0]) == _counts(per_point[0])
 
 
@@ -339,8 +342,8 @@ class TestAnalyticFastPath:
     def test_identity_holds_with_floor(self):
         kwargs = dict(n_packets=5, payload_bytes=40, rng=7,
                       analytic_floor=1e-9)
-        a = run_link_grid(PHYS, [2.0, 28.0], cross_point=True, **kwargs)
-        b = run_link_grid(PHYS, [2.0, 28.0], cross_point=False, **kwargs)
+        a = run_link_grid(PHYS, [2.0, 28.0], **kwargs)
+        b = _cell_by_cell(PHYS, [2.0, 28.0], **kwargs)
         for ra, rb in zip(sum(a, []), sum(b, [])):
             assert ra.mc.stop_reason == rb.mc.stop_reason
             assert (ra.n_packets, ra.n_packet_errors, ra.n_bit_errors) == \
