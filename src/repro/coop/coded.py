@@ -22,7 +22,7 @@ import numpy as np
 
 from repro import obs
 from repro.channel.fading import rayleigh_fading
-from repro.core.mc import run_trials
+from repro.core.mc import per_trial, run_trials
 from repro.errors import ConfigurationError
 from repro.phy import convolutional as cc
 from repro.phy.modulation import Modulator
@@ -172,8 +172,8 @@ class CodedCooperationSimulator:
         noise_var = 10.0 ** (-snr_db / 10.0)
         with obs.span("coop.coded.run", snr_db=float(snr_db)) as span:
             mc = run_trials(
-                lambda rng: self._one_block(rng, noise_var),
-                n_trials=int(n_blocks), target="coded_failure", rng=self.rng,
+                per_trial(lambda rng: self._one_block(rng, noise_var)),
+                n_trials=n_blocks, target="coded_failure", rng=self.rng,
                 precision=precision, max_trials=max_trials,
                 confidence=confidence, batch_size=batch_size)
             span.set(n_trials=mc.n_trials, stop_reason=mc.stop_reason)

@@ -19,7 +19,7 @@ import numpy as np
 
 from repro import obs
 from repro.channel.fading import rayleigh_fading
-from repro.core.mc import run_trials
+from repro.core.mc import per_trial, run_trials
 from repro.errors import ConfigurationError
 from repro.phy.modulation import Modulator
 from repro.utils.bits import random_bits
@@ -147,8 +147,9 @@ class RelaySimulator:
         with obs.span("relay.run", protocol=self.protocol,
                       snr_db=float(snr_db)) as span:
             mc = run_trials(
-                lambda rng: self._one_block(rng, block_bits, noise_var),
-                n_trials=int(n_blocks), target="coop_outage", rng=self.rng,
+                per_trial(lambda rng: self._one_block(rng, block_bits,
+                                                      noise_var)),
+                n_trials=n_blocks, target="coop_outage", rng=self.rng,
                 precision=precision, max_trials=max_trials,
                 confidence=confidence, batch_size=batch_size)
             span.set(n_trials=mc.n_trials, stop_reason=mc.stop_reason)

@@ -37,7 +37,8 @@ from repro.analysis.union_bound import (
 )
 from repro.channel.models import TGN_PROFILES, tgn_channel
 from repro.core.mc import analytic_result, run_grid_trials
-# Unused here; perfbench's tracer wraps ``run_trials`` in this module.
+# Not called here: perfbench/tracer.py patches this module's
+# ``__dict__["run_trials"]``, and a missing key fails every traced run.
 from repro.core.mc import run_trials  # noqa: F401
 from repro.core.mc.stats import rate_interval
 from repro.errors import ConfigurationError, ReproError

@@ -3,7 +3,8 @@
 ``repro.core.mc`` is the one trial loop under every simulator in the
 library: link PER/BER sweeps, cooperative relaying, coded cooperation,
 mesh coverage sampling and MIMO capacity ensembles all drive their
-trials through :func:`run_trials` instead of hand-rolled ``for`` loops.
+trials through :func:`run_grid_trials` (:func:`run_trials` is its
+one-point case, :func:`per_trial` its per-trial adaptor).
 
 Two guarantees:
 
@@ -22,6 +23,7 @@ from repro.core.mc.engine import (
     McResult,
     STOP_REASONS,
     analytic_result,
+    per_trial,
     run_grid_trials,
     run_trials,
 )
@@ -39,6 +41,7 @@ __all__ = [
     "McResult",
     "STOP_REASONS",
     "analytic_result",
+    "per_trial",
     "run_grid_trials",
     "run_trials",
     "MeanAccumulator",

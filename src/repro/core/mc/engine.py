@@ -1,6 +1,7 @@
 """The adaptive Monte-Carlo trial driver behind every simulation loop.
 
-One engine, two modes:
+One loop, :func:`run_grid_trials`, runs the trials of many points at
+once; :func:`run_trials` is its one-point case. Two modes:
 
 **Fixed budget** (``precision=None``) replays exactly ``n_trials``
 trials in submission order against the caller's generator — bit for bit
@@ -14,19 +15,17 @@ enough — half-width ≤ ``p`` × estimate — or a trial ceiling is hit. A
 saturated operating point (PER ≈ 1) settles within a few batches
 instead of burning the full budget; a zero-event point can never claim
 precision and runs to the ceiling, which is exactly the honesty the
-interval is for.
+interval is for. In a grid each point stops on its own.
 
-:func:`run_grid_trials` runs many Bernoulli points per call in the same
-two modes, on the same batch schedule; each point stops on its own.
-
-Trial functions
+Batch functions
 ---------------
-Scalar form (default): ``trial_fn(rng) -> dict`` mapping metric names
-to per-trial numbers; the engine sums them across trials. Vectorised
-form (``vectorized=True``): ``trial_fn(rng, m) -> dict`` covering ``m``
-trials at once — values are batch *sums* for the ``"rate"`` estimand
-and per-trial value arrays (shape ``(m,)`` or ``(m, d)``) for the
-``"mean"``/``"quantile"`` estimands.
+:func:`run_trials` calls ``batch_fn(rng, m) -> dict`` for each batch of
+``m`` trials. Values are batch *sums* for the ``"rate"`` estimand; for
+``"mean"``/``"quantile"`` the target carries per-trial values, shape
+``(m,)`` or ``(m, d)``. :func:`per_trial` turns a per-trial function
+``trial_fn(rng) -> dict`` into a batch function that sums its metrics.
+:func:`run_grid_trials` calls ``grid_fn(lo, hi, points)``, whose values
+carry the same shapes behind a leading per-point axis.
 
 The ``target`` key selects the statistic the stopping rule watches:
 
@@ -59,6 +58,7 @@ from repro.core.mc.stats import (
 )
 from repro.errors import ConfigurationError
 from repro.utils.rng import as_generator
+from repro.utils.validation import require_count
 
 #: Default trial ceiling for adaptive runs that never reach precision.
 DEFAULT_MAX_TRIALS = 100_000
@@ -69,15 +69,20 @@ DEFAULT_MAX_TRIALS = 100_000
 #: :func:`analytic_result`).
 STOP_REASONS = ("budget", "precision", "max_trials", "analytic")
 
+#: ``McResult.method`` of the non-rate estimands' intervals.
+_INTERVAL_METHODS = {"mean": "normal", "quantile": "order-stat"}
+
 
 @dataclass
 class McResult:
-    """Outcome of one :func:`run_trials` invocation.
+    """Outcome of one Monte-Carlo point: a :func:`run_trials` call or
+    one point of a :func:`run_grid_trials` call.
 
     ``estimate``/``ci_low``/``ci_high`` are floats for scalar
-    estimands and arrays for vector-valued means. ``totals`` holds the
-    summed non-target metrics (e.g. accumulated bit errors alongside a
-    packet-error-rate target).
+    estimands and arrays for vector-valued means. ``n_events`` counts
+    the target's events for the ``"rate"`` estimand and is ``None`` for
+    the others. ``totals`` holds the summed non-target metrics (e.g.
+    accumulated bit errors alongside a packet-error-rate target).
     """
 
     estimate: object
@@ -164,28 +169,25 @@ def _make_accumulator(estimand, method, quantile):
 
 
 def _validate(n_trials, precision, max_trials, batch_size):
-    if int(batch_size) < 1:
-        raise ConfigurationError(
-            f"batch_size must be >= 1, got {batch_size}"
-        )
+    """``(trial limit, precision, batch size)`` of a run's arguments."""
+    batch_size = require_count("batch_size", batch_size)
+    if n_trials is not None:
+        n_trials = require_count("n_trials", n_trials)
     if precision is None:
-        if n_trials is None or int(n_trials) < 1:
+        if n_trials is None:
             raise ConfigurationError(
                 "fixed-budget mode needs n_trials >= 1 "
                 "(or pass precision= for adaptive mode)"
             )
-        return int(n_trials), None, None
+        return n_trials, None, batch_size
     precision = float(precision)
     if not precision > 0.0:
         raise ConfigurationError(
             f"precision must be > 0, got {precision}"
         )
-    max_trials = DEFAULT_MAX_TRIALS if max_trials is None else int(max_trials)
-    if max_trials < 1:
-        raise ConfigurationError(
-            f"max_trials must be >= 1, got {max_trials}"
-        )
-    return None, precision, max_trials
+    max_trials = DEFAULT_MAX_TRIALS if max_trials is None \
+        else require_count("max_trials", max_trials)
+    return max_trials, precision, batch_size
 
 
 def _run_batch(n, fn, *args):
@@ -203,151 +205,67 @@ def _run_batch(n, fn, *args):
         return out
 
 
-def _record_run(span, clock, n_run, stop_reasons):
-    """Count a finished run's trials and stop reasons, once each, and
-    set its span's throughput."""
-    obs.counter("mc.trials", n_run)
-    for reason in STOP_REASONS:
-        n_stopped = sum(1 for r in stop_reasons if r == reason)
-        if n_stopped:
-            obs.counter(f"mc.stop.{reason}", n_stopped)
-    rate = n_run / clock.elapsed if clock.elapsed > 0 else 0.0
-    span.set(n_trials=n_run, trials_per_s=rate)
+def per_trial(trial_fn):
+    """The batch function of a per-trial ``trial_fn(rng) -> dict``.
+
+    A batch of ``m`` trials calls ``trial_fn(rng)`` ``m`` times in order
+    and sums each metric as Python numbers, so a ``"rate"`` run draws
+    from the generator exactly as a loop over single trials would.
+    """
+    def batch_fn(rng, m):
+        out = {}
+        for _ in range(m):
+            for key, val in trial_fn(rng).items():
+                out[key] = out.get(key, 0) + val
+        return out
+    return batch_fn
 
 
-def run_trials(trial_fn, n_trials=None, *, target, rng=None,
+def run_trials(batch_fn, n_trials=None, *, target, rng=None,
                precision=None, max_trials=None, batch_size=100,
                confidence=0.95, method="wilson", estimand="rate",
-               quantile=None, vectorized=False):
-    """Drive ``trial_fn`` to a fixed budget or a precision target.
+               quantile=None):
+    """Drive ``batch_fn`` to a fixed budget or a precision target.
+
+    A one-point :func:`run_grid_trials`: each batch of ``m`` trials is
+    one ``batch_fn(rng, m)`` call on the caller's generator, so the
+    generator is consumed in trial order.
 
     Parameters
     ----------
-    trial_fn : callable
-        ``trial_fn(rng) -> dict`` of per-trial metrics, or — with
-        ``vectorized=True`` — ``trial_fn(rng, m) -> dict`` covering
-        ``m`` trials (see the module docstring for the value
-        conventions per estimand).
-    n_trials : int or None
-        Fixed trial budget. Required when ``precision`` is ``None``;
-        ignored in adaptive mode.
-    target : str
-        The metric key the stopping rule (and the CI) applies to.
+    batch_fn : callable
+        ``batch_fn(rng, m) -> dict`` of metrics covering ``m`` trials
+        (see the module docstring for the value conventions per
+        estimand); :func:`per_trial` builds one from a per-trial
+        function.
     rng : seed or Generator
-        Passed straight through to ``trial_fn``; giving the caller's
+        Passed straight through to ``batch_fn``; giving the caller's
         own generator preserves the legacy draw order exactly.
-    precision : float or None
-        Adaptive mode: stop once the CI half-width on the target drops
-        below ``precision`` × estimate. ``None`` = fixed budget.
-    max_trials : int or None
-        Adaptive trial ceiling (default ``DEFAULT_MAX_TRIALS``).
-    batch_size : int
-        Trials between CI checks in adaptive mode (and the vectorised
-        chunk size).
-    confidence : float
-        CI confidence level, in (0, 1).
-    method : str
-        Rate-interval flavour: ``"wilson"`` or ``"clopper-pearson"``.
-    estimand : str
-        ``"rate"`` (default), ``"mean"`` or ``"quantile"``.
-    quantile : float or None
-        Which quantile to estimate when ``estimand="quantile"``.
-    vectorized : bool
-        Whether ``trial_fn`` processes whole batches.
+    n_trials, target, precision, max_trials, batch_size, confidence, \
+method, estimand, quantile
+        As for :func:`run_grid_trials`.
 
     Returns
     -------
     McResult
     """
-    budget, precision, ceiling = _validate(n_trials, precision, max_trials,
-                                           batch_size)
-    acc = _make_accumulator(estimand, method, quantile)
     rng = as_generator(rng)
-    totals = {}
 
-    def consume(m):
-        """Run ``m`` trials, feed the accumulator, sum the extras."""
-        if vectorized:
-            out = dict(trial_fn(rng, m))
-        else:
-            out = {}
-            values = []
-            for _ in range(m):
-                result = trial_fn(rng)
-                for key, val in result.items():
-                    if estimand != "rate" and key == target:
-                        values.append(val)
-                    else:
-                        out[key] = out.get(key, 0) + val
-            if estimand != "rate":
-                out[target] = np.asarray(values)
-        if target not in out:
-            raise ConfigurationError(
-                f"trial function never produced target metric {target!r}; "
-                f"got keys {sorted(out)}"
-            )
-        for key, val in out.items():
-            if key == target:
-                continue
-            totals[key] = totals.get(key, 0) + val
-        if estimand == "rate":
-            acc.add(out[target], m)
-            totals[target] = acc.n_events
-        else:
-            values = np.asarray(out[target])
-            if values.ndim == 0 or values.shape[0] != m:
-                raise ConfigurationError(
-                    f"target {target!r} must carry one value per trial "
-                    f"(expected leading dimension {m}, got shape "
-                    f"{values.shape})"
-                )
-            acc.add(values)
+    def grid_fn(lo, hi, points):
+        return {key: [val] for key, val in batch_fn(rng, hi - lo).items()}
 
-    limit = budget if precision is None else ceiling
-    # Fixed budget: vectorised trial functions are fed in batch_size
-    # chunks so a large budget never materialises the whole waveform
-    # batch at once; generator draws are consumed value-by-value, so
-    # chunking leaves the stream (and thus every result) identical to
-    # one full-budget call — and to the seed-era hand-rolled loops.
-    step = int(batch_size) if vectorized or precision is not None else limit
-    with obs.span("mc.run_trials", target=target, estimand=estimand,
-                  mode="fixed" if precision is None
-                  else "adaptive") as mc_span, obs.timed() as clock:
-        stop_reason = "budget" if precision is None else "max_trials"
-        done = 0
-        while done < limit:
-            m = min(step, limit - done)
-            _run_batch(m, consume, m)
-            done += m
-            if precision is not None \
-                    and acc.rel_half_width(confidence) <= precision:
-                stop_reason = "precision"
-                break
-        mc_span.set(stop_reason=stop_reason)
-        _record_run(mc_span, clock, acc.n_trials, [stop_reason])
-
-    lo, hi = acc.interval(confidence)
-    return McResult(
-        estimate=acc.estimate(),
-        ci_low=lo,
-        ci_high=hi,
-        n_trials=acc.n_trials,
-        confidence=float(confidence),
-        stop_reason=stop_reason,
-        method=method if estimand == "rate" else
-        ("normal" if estimand == "mean" else "order-stat"),
-        target=target,
-        estimand=estimand,
-        n_events=getattr(acc, "n_events", None),
-        precision=precision,
-        totals=totals,
-    )
+    (result,) = run_grid_trials(
+        grid_fn, n_trials, 1, target=target, batch_size=batch_size,
+        confidence=confidence, method=method, precision=precision,
+        max_trials=max_trials, estimand=estimand, quantile=quantile)
+    return result
 
 
 def run_grid_trials(grid_fn, n_trials, n_points, *, target,
                     batch_size=100, analytic=None, confidence=0.95,
-                    method="wilson", precision=None, max_trials=None):
-    """Bernoulli trials for *many* grid points at once.
+                    method="wilson", precision=None, max_trials=None,
+                    estimand="rate", quantile=None):
+    """Trials for *many* grid points at once.
 
     Cross-point batching: one ``grid_fn`` invocation covers a slice of
     the trial budget for **every** still-active point, so a sweep's
@@ -358,16 +276,21 @@ def run_grid_trials(grid_fn, n_trials, n_points, *, target,
     ----------
     grid_fn : callable
         ``grid_fn(lo, hi, points) -> dict`` running trials ``lo..hi-1``
-        for each point index in ``points`` (a 1-D int array). Values
-        are per-point *batch sums*, shape ``(len(points),)`` — the
-        ``target`` entry counts Bernoulli events. When the trial index,
-        not a generator, carries the randomness — trial ``i`` uses the
-        same underlying draws for every point (common random numbers) —
-        cross-point and per-point execution of the same scheme are
-        bit-identical.
+        for each point index in ``points`` (a 1-D int array). Every
+        value has a leading axis of ``len(points)``. Non-target values
+        are per-point *batch sums*; so is the target of a ``"rate"``
+        estimand, which counts Bernoulli events. The target of a
+        ``"mean"``/``"quantile"`` estimand carries per-trial values,
+        shape ``(len(points), hi - lo)`` or ``(len(points), hi - lo,
+        d)``. When the trial index, not a generator, carries the
+        randomness — trial ``i`` uses the same underlying draws for
+        every point (common random numbers) — cross-point and per-point
+        execution of the same scheme are bit-identical.
     n_trials : int or None
         Fixed per-point trial budget. Required when ``precision`` is
         ``None``; ignored in adaptive mode.
+    target : str
+        The metric key the stopping rule (and the CI) applies to.
     n_points : int
         Grid size; results come back as a list of this length.
     batch_size : int
@@ -377,15 +300,19 @@ def run_grid_trials(grid_fn, n_trials, n_points, *, target,
         resolved below the caller's confidence floor: they are excluded
         from every ``grid_fn`` call and returned as
         :func:`analytic_result` records (``stop_reason="analytic"``).
+        ``"rate"`` estimand only.
     confidence, method
-        Per-point Wilson (or Clopper-Pearson) interval parameters.
+        Per-point interval confidence, in (0, 1), and the rate-interval
+        flavour (``"wilson"`` or ``"clopper-pearson"``).
     precision, max_trials
         Adaptive mode, per point: after each batch a point whose
         interval has relative half-width ``<= precision`` leaves the
         grid (``stop_reason="precision"``); the rest run to
-        ``max_trials`` (``"max_trials"``). The batch schedule and stop
-        rule are :func:`run_trials`', so a one-point grid stops exactly
-        where ``run_trials`` would.
+        ``max_trials`` (default ``DEFAULT_MAX_TRIALS``;
+        ``"max_trials"``).
+    estimand, quantile
+        ``"rate"`` (default), ``"mean"`` or ``"quantile"``, and the
+        quantile to estimate for ``"quantile"``.
 
     Returns
     -------
@@ -394,31 +321,34 @@ def run_grid_trials(grid_fn, n_trials, n_points, *, target,
     n_points = int(n_points)
     if n_points < 1:
         raise ConfigurationError(f"n_points must be >= 1, got {n_points}")
-    budget, precision, ceiling = _validate(n_trials, precision, max_trials,
-                                           batch_size)
-    limit = budget if precision is None else ceiling
+    limit, precision, batch_size = _validate(n_trials, precision,
+                                             max_trials, batch_size)
     analytic = {int(i): float(v) for i, v in (analytic or {}).items()}
+    if analytic and estimand != "rate":
+        raise ConfigurationError(
+            "analytic= only applies to estimand='rate'")
     for i in analytic:
         if not 0 <= i < n_points:
             raise ConfigurationError(
                 f"analytic point index {i} outside grid of {n_points}")
     active = [i for i in range(n_points) if i not in analytic]
-    accs = {i: RateAccumulator(method=method) for i in active}
+    accs = {i: _make_accumulator(estimand, method, quantile)
+            for i in active}
     totals = {i: {} for i in active}
     stops = {}
 
-    with obs.span("mc.run_grid", target=target, n_points=n_points,
-                  n_analytic=len(analytic),
+    with obs.span("mc.run_grid", target=target, estimand=estimand,
+                  n_points=n_points, n_analytic=len(analytic),
                   mode="fixed" if precision is None
                   else "adaptive") as span, obs.timed() as clock:
         done = 0
         while active and done < limit:
-            m = min(int(batch_size), limit - done)
+            m = min(batch_size, limit - done)
             out = dict(_run_batch(m * len(active), grid_fn, done, done + m,
                                   np.array(active, dtype=np.int64)))
             if target not in out:
                 raise ConfigurationError(
-                    f"grid function never produced target metric "
+                    f"trial function never produced target metric "
                     f"{target!r}; got keys {sorted(out)}")
             for key, vals in out.items():
                 vals = np.asarray(vals)
@@ -427,12 +357,20 @@ def run_grid_trials(grid_fn, n_trials, n_points, *, target,
                         f"grid metric {key!r} must carry one value per "
                         f"active point (expected leading dimension "
                         f"{len(active)}, got shape {vals.shape})")
+                if key == target and estimand != "rate":
+                    if vals.shape[1:2] != (m,):
+                        raise ConfigurationError(
+                            f"target {target!r} must carry one value per "
+                            f"trial (expected shape ({len(active)}, {m}, "
+                            f"...), got {vals.shape})")
+                    for j, i in enumerate(active):
+                        accs[i].add(vals[j])
+                    continue
                 if vals.ndim == 1:
                     vals = vals.tolist()  # Python numbers in the totals
                 for j, i in enumerate(active):
                     if key == target:
                         accs[i].add(vals[j], m)
-                        totals[i][target] = accs[i].n_events
                     else:
                         totals[i][key] = totals[i].get(key, 0) + vals[j]
             done += m
@@ -443,8 +381,14 @@ def run_grid_trials(grid_fn, n_trials, n_points, *, target,
                 active = [i for i in active if i not in stops]
         for i in active:
             stops[i] = "budget" if precision is None else "max_trials"
-        _record_run(span, clock, sum(a.n_trials for a in accs.values()),
-                    stops.values())
+        n_run = sum(acc.n_trials for acc in accs.values())
+        obs.counter("mc.trials", n_run)
+        for reason in STOP_REASONS:
+            n_stopped = sum(1 for r in stops.values() if r == reason)
+            if n_stopped:
+                obs.counter(f"mc.stop.{reason}", n_stopped)
+        span.set(n_trials=n_run, trials_per_s=(
+            n_run / clock.elapsed if clock.elapsed > 0 else 0.0))
 
     results = []
     for i in range(n_points):
@@ -453,6 +397,8 @@ def run_grid_trials(grid_fn, n_trials, n_points, *, target,
                 analytic[i], target=target, confidence=confidence))
             continue
         acc = accs[i]
+        if estimand == "rate":
+            totals[i][target] = acc.n_events
         lo, hi = acc.interval(confidence)
         results.append(McResult(
             estimate=acc.estimate(),
@@ -461,10 +407,10 @@ def run_grid_trials(grid_fn, n_trials, n_points, *, target,
             n_trials=acc.n_trials,
             confidence=float(confidence),
             stop_reason=stops[i],
-            method=method,
+            method=_INTERVAL_METHODS.get(estimand, method),
             target=target,
-            estimand="rate",
-            n_events=acc.n_events,
+            estimand=estimand,
+            n_events=getattr(acc, "n_events", None),
             precision=precision,
             totals=totals[i],
         ))

@@ -21,7 +21,6 @@ from repro.core.mc import run_trials
 from repro.errors import ConfigurationError
 from repro.mesh.network import MeshNetwork, check_node_index
 from repro.standards.registry import get_standard
-from repro.utils.rng import as_generator
 
 
 def _coverage_threshold_snr_db(std, min_rate_mbps):
@@ -83,7 +82,6 @@ def coverage_result(mesh_positions, area_side_m, min_rate_mbps=6.0,
         )
     budget = budget or LinkBudget()
     std = get_standard(standard) if isinstance(standard, str) else standard
-    rng = as_generator(rng)
     net = MeshNetwork(positions, std, budget)
     # Reachability is pure graph connectivity: best_path(portal, node)
     # exists iff node shares the portal's connected component.
@@ -111,7 +109,7 @@ def coverage_result(mesh_positions, area_side_m, min_rate_mbps=6.0,
         result = run_trials(sample_batch, n_trials=n_samples,
                             target="covered", rng=rng, precision=precision,
                             max_trials=max_trials, confidence=confidence,
-                            batch_size=batch_size, vectorized=True)
+                            batch_size=batch_size)
         span.set(n_trials=result.n_trials, stop_reason=result.stop_reason)
     return result
 

@@ -3,9 +3,10 @@
 The reporter is schema-driven, not layer-driven: it only understands
 the generic event shapes (span / counter) plus the well-known span
 names the campaign runner and MC engine emit (``campaign.point``,
-``campaign.execute``, ``mc.run_trials``, ``mc.run_grid``). Everything else still shows
-up in the span totals and top-N tables, so instrumenting a new
-subsystem needs no reporter changes.
+``campaign.execute``, ``mc.run_grid``; ``mc.run_trials`` is still read
+from traces stored before every trial loop became a grid). Everything
+else still shows up in the span totals and top-N tables, so
+instrumenting a new subsystem needs no reporter changes.
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@
 A :class:`Tracer` records two event types:
 
 **Spans** — named, attributed intervals with a parent/child structure.
-``tracer.span("mc.run_trials", target="per")`` opens a span; spans
+``tracer.span("mc.run_grid", target="per")`` opens a span; spans
 opened while another is active nest under it (the active-span stack is
 thread-local, so a point function running on a timeout thread nests
 correctly). Closing a span stamps its duration and hands it to the

@@ -65,7 +65,6 @@ def ergodic_capacity(n_rx, n_tx, snr_db, n_draws=2000, rng=None, *,
     ``return_result=True`` yields the :class:`~repro.core.mc.McResult`
     (estimate, CI and trial count) instead of the bare mean.
     """
-    rng = as_generator(rng)
     snr = 10.0 ** (np.asarray(snr_db, dtype=float) / 10.0)
     snr = np.atleast_1d(snr)
 
@@ -77,10 +76,10 @@ def ergodic_capacity(n_rx, n_tx, snr_db, n_draws=2000, rng=None, *,
                        * eig[:, None, :]).sum(axis=2)
         return {"capacity_bps_hz": caps}
 
-    mc = run_trials(batch, n_trials=int(n_draws), target="capacity_bps_hz",
+    mc = run_trials(batch, n_trials=n_draws, target="capacity_bps_hz",
                     rng=rng, precision=precision, max_trials=max_trials,
                     confidence=confidence, batch_size=batch_size,
-                    estimand="mean", vectorized=True)
+                    estimand="mean")
     if return_result:
         return mc
     return mc.estimate
@@ -98,7 +97,6 @@ def outage_capacity(n_rx, n_tx, snr_db, outage=0.1, n_draws=4000, rng=None,
     """
     if not 0 < outage < 1:
         raise ConfigurationError(f"outage must be in (0, 1), got {outage}")
-    rng = as_generator(rng)
     snr = 10.0 ** (float(snr_db) / 10.0)
 
     def batch(rng, m):
@@ -110,10 +108,10 @@ def outage_capacity(n_rx, n_tx, snr_db, outage=0.1, n_draws=4000, rng=None,
             raise ConfigurationError("capacity determinant non-positive")
         return {"capacity_bps_hz": logdet / np.log(2.0)}
 
-    mc = run_trials(batch, n_trials=int(n_draws), target="capacity_bps_hz",
+    mc = run_trials(batch, n_trials=n_draws, target="capacity_bps_hz",
                     rng=rng, precision=precision, max_trials=max_trials,
                     confidence=confidence, batch_size=batch_size,
-                    estimand="quantile", quantile=outage, vectorized=True)
+                    estimand="quantile", quantile=outage)
     if return_result:
         return mc
     return float(mc.estimate)

@@ -21,7 +21,7 @@ import numpy as np
 
 from repro import obs
 from repro.core.link import LinkResult, LinkSimulator
-from repro.core.mc import run_grid_trials
+from repro.core.mc import run_trials
 from repro.errors import ConfigurationError
 from repro.utils.rng import as_generator
 from repro.utils.validation import require_snr_array, validate_link_run_args
@@ -125,20 +125,19 @@ class AbstractLink:
         ber = float(self.ber_at(snr_db, payload_bytes))
         n_bits_per_packet = 8 * payload_bytes
 
-        def trial_batch(lo, hi, points):
-            m = hi - lo
-            errors = int((self.rng.random(m) < per).sum())
+        def trial_batch(rng, m):
+            errors = int((rng.random(m) < per).sum())
             obs.counter("surrogate.packets", m)
-            bit_errors = int(self.rng.binomial(m * n_bits_per_packet, ber))
-            return {"packet_error": [errors], "bit_errors": [bit_errors]}
+            bit_errors = int(rng.binomial(m * n_bits_per_packet, ber))
+            return {"packet_error": errors, "bit_errors": bit_errors}
 
         with obs.span("surrogate.run", phy=self.phy_name,
                       channel=self.channel_name,
                       snr_db=float(snr_db)) as span:
-            mc, = run_grid_trials(trial_batch, int(n_packets), 1,
-                                  target="packet_error",
-                                  precision=precision, max_trials=max_trials,
-                                  confidence=confidence, batch_size=batch_size)
+            mc = run_trials(trial_batch, n_packets, target="packet_error",
+                            rng=self.rng, precision=precision,
+                            max_trials=max_trials, confidence=confidence,
+                            batch_size=batch_size)
             span.set(n_trials=mc.n_trials, stop_reason=mc.stop_reason)
         return LinkResult(
             phy=self.phy_name,

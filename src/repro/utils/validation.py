@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -31,6 +32,21 @@ def require_finite(name, value):
     return value
 
 
+def require_count(name, value):
+    """Raise unless ``value`` is a whole number >= 1; returns an ``int``.
+
+    Integers and integral floats (``200.0``) pass; a bool, a fractional
+    or non-finite float and a non-number raise, so a trial budget is
+    never silently truncated.
+    """
+    whole = isinstance(value, numbers.Integral) or (
+        isinstance(value, numbers.Real) and float(value).is_integer())
+    if whole and not isinstance(value, (bool, np.bool_)) and value >= 1:
+        return int(value)
+    raise ConfigurationError(
+        f"{name} must be a whole number >= 1, got {value!r}")
+
+
 def require_snr_array(name, values):
     """Validate an SNR sweep array: non-empty, all entries finite.
 
@@ -54,34 +70,14 @@ def validate_link_run_args(snr_db, n_packets, payload_bytes):
     """Validate one link measurement's arguments; returns them normalised.
 
     The shared front door for :meth:`LinkSimulator.run` and
-    :meth:`AbstractLink.run`: a NaN SNR, a zero packet budget, or a
-    non-positive payload fails identically on the waveform and surrogate
-    paths. Returns ``(float snr_db, int n_packets, int payload_bytes)``.
+    :meth:`AbstractLink.run`: a NaN SNR, a zero or fractional packet
+    budget, or a non-positive or fractional payload fails identically on
+    the waveform and surrogate paths. Returns ``(float snr_db, int
+    n_packets, int payload_bytes)``.
     """
-    snr_db = require_finite("snr_db", snr_db)
-    try:
-        n_packets = int(n_packets)
-        payload_int = int(payload_bytes)
-    except (TypeError, ValueError):
-        raise ConfigurationError(
-            f"n_packets and payload_bytes must be integers, got "
-            f"{n_packets!r} and {payload_bytes!r}"
-        ) from None
-    if isinstance(payload_bytes, float) and not float(
-            payload_bytes).is_integer():
-        raise ConfigurationError(
-            f"payload_bytes must be a whole number of bytes, got "
-            f"{payload_bytes!r}"
-        )
-    if n_packets < 1:
-        raise ConfigurationError(
-            f"n_packets must be >= 1, got {n_packets}"
-        )
-    if payload_int < 1:
-        raise ConfigurationError(
-            f"payload_bytes must be >= 1, got {payload_int}"
-        )
-    return snr_db, n_packets, payload_int
+    return (require_finite("snr_db", snr_db),
+            require_count("n_packets", n_packets),
+            require_count("payload_bytes", payload_bytes))
 
 
 def require_in(name, value, allowed):

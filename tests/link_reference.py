@@ -16,7 +16,7 @@ plain-Python reference.
 import numpy as np
 
 from repro.channel.awgn import awgn_noise
-from repro.core.mc import run_trials
+from repro.core.mc import per_trial, run_trials
 from repro.errors import ReproError
 from repro.phy.fhss import GfskModem
 from repro.utils.bits import bits_from_bytes, count_bit_errors
@@ -70,7 +70,8 @@ def reference_run(sim, snr_db, n_packets=100, payload_bytes=100, *,
         errs, bad = send_packet(sim, payload, snr_db)
         return {"packet_error": int(bad), "bit_errors": int(errs)}
 
-    mc = run_trials(trial, n_trials=n_packets, target="packet_error",
-                    rng=sim.rng, precision=precision, max_trials=max_trials,
-                    confidence=confidence, batch_size=batch_size)
+    mc = run_trials(per_trial(trial), n_trials=n_packets,
+                    target="packet_error", rng=sim.rng, precision=precision,
+                    max_trials=max_trials, confidence=confidence,
+                    batch_size=batch_size)
     return sim._result(snr_db, payload_bytes, mc)

@@ -158,10 +158,22 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="real number"):
             LinkSimulator("ofdm-6", rng=11).run("loud", 10, 100)
 
-    @pytest.mark.parametrize("payload", [0, -4, 2.5])
+    @pytest.mark.parametrize("payload", [0, -4, 2.5, True])
     def test_bad_payload_rejected(self, payload):
         with pytest.raises(ConfigurationError, match="payload_bytes"):
             LinkSimulator("ofdm-6", rng=11).run(10.0, 10, payload)
+
+    @pytest.mark.parametrize("n_packets", [2.5, True, "10"])
+    def test_fractional_packet_count_rejected(self, n_packets):
+        """A budget is never truncated: 2.5 packets used to send 2."""
+        with pytest.raises(ConfigurationError, match="n_packets"):
+            LinkSimulator("ofdm-6", rng=1).run(20.0, n_packets=n_packets,
+                                               payload_bytes=20)
+
+    def test_integral_float_budget_accepted(self):
+        a = LinkSimulator("ofdm-6", rng=1).run(20.0, 3.0, 20.0)
+        b = LinkSimulator("ofdm-6", rng=1).run(20.0, 3, 20)
+        assert (a.n_packets, a.n_bit_errors) == (b.n_packets, b.n_bit_errors)
 
     def test_empty_waterfall_rejected(self):
         with pytest.raises(ConfigurationError, match="must not be empty"):

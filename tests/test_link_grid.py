@@ -116,7 +116,7 @@ class TestRunGridTrials:
 
 
 class TestRunGridTrialsAdaptive:
-    """Per-column precision stops on ``run_trials``' batch schedule."""
+    """Per-column precision stops, each where a lone point would."""
 
     @staticmethod
     def _bernoulli(p, seed, n=400):
@@ -152,8 +152,7 @@ class TestRunGridTrialsAdaptive:
             return {"err": k}
 
         ref = run_trials(trial, n_trials, target="err", precision=precision,
-                         max_trials=max_trials, batch_size=batch,
-                         vectorized=True)
+                         max_trials=max_trials, batch_size=batch)
         (grid,) = run_grid_trials(self._grid_fn([events]), n_trials, 1,
                                   target="err", batch_size=batch,
                                   precision=precision, max_trials=max_trials)

@@ -18,7 +18,9 @@ from repro.core.mc import (
     QuantileAccumulator,
     RateAccumulator,
     clopper_pearson_interval,
+    per_trial,
     rate_interval,
+    run_grid_trials,
     run_trials,
     wilson_interval,
 )
@@ -152,11 +154,13 @@ class TestAccumulators:
             QuantileAccumulator(1.2)
 
 
+def _bernoulli_trial(rng):
+    return {"event": int(rng.uniform() < 0.4),
+            "extra": int(rng.uniform() < 0.5)}
+
+
 class TestEngineFixedBudget:
-    @staticmethod
-    def bernoulli(rng):
-        return {"event": int(rng.uniform() < 0.4),
-                "extra": int(rng.uniform() < 0.5)}
+    bernoulli = staticmethod(per_trial(_bernoulli_trial))
 
     def test_preserves_draw_order(self):
         """The engine must consume a shared generator in exactly the
@@ -164,7 +168,7 @@ class TestEngineFixedBudget:
         mc = run_trials(self.bernoulli, n_trials=300, target="event",
                         rng=np.random.default_rng(17))
         rng = np.random.default_rng(17)
-        events = sum(self.bernoulli(rng)["event"] for _ in range(300))
+        events = sum(_bernoulli_trial(rng)["event"] for _ in range(300))
         assert mc.n_events == events
         assert mc.n_trials == 300
         assert mc.stop_reason == "budget"
@@ -176,12 +180,13 @@ class TestEngineFixedBudget:
         assert 0 <= mc.totals["extra"] <= 100
         assert mc.totals["event"] == mc.n_events
 
-    def test_vectorized_single_batch(self):
+    def test_batch_function_matches_one_draw(self):
+        """Four ``batch_size`` chunks draw what one 400-value call does."""
         def batch(rng, m):
             return {"event": int(np.count_nonzero(rng.uniform(size=m)
                                                   < 0.25))}
         mc = run_trials(batch, n_trials=400, target="event",
-                        rng=np.random.default_rng(5), vectorized=True)
+                        rng=np.random.default_rng(5))
         rng = np.random.default_rng(5)
         assert mc.n_events == int(np.count_nonzero(
             rng.uniform(size=400) < 0.25))
@@ -194,7 +199,7 @@ class TestEngineFixedBudget:
 
     def test_missing_target_rejected(self):
         with pytest.raises(ConfigurationError, match="target metric"):
-            run_trials(lambda rng: {"other": 1}, n_trials=5,
+            run_trials(per_trial(lambda rng: {"other": 1}), n_trials=5,
                        target="event", rng=np.random.default_rng(0))
 
     def test_no_budget_rejected(self):
@@ -217,9 +222,8 @@ class TestEngineFixedBudget:
 
 
 class TestEngineAdaptive:
-    @staticmethod
-    def coin(rng):
-        return {"event": int(rng.uniform() < 0.5)}
+    coin = staticmethod(per_trial(
+        lambda rng: {"event": int(rng.uniform() < 0.5)}))
 
     def test_deterministic_at_fixed_seed(self):
         runs = [run_trials(self.coin, target="event",
@@ -241,7 +245,7 @@ class TestEngineAdaptive:
     def test_zero_events_run_to_ceiling(self):
         """No events → no precision claim: the engine must burn the
         whole ceiling rather than stop on an empty estimate."""
-        mc = run_trials(lambda rng: {"event": 0}, target="event",
+        mc = run_trials(per_trial(lambda rng: {"event": 0}), target="event",
                         rng=np.random.default_rng(2), precision=0.1,
                         max_trials=700, batch_size=100)
         assert mc.stop_reason == "max_trials"
@@ -259,11 +263,212 @@ class TestEngineAdaptive:
         assert tight.n_trials > loose.n_trials
 
     def test_adaptive_mean_estimand(self):
-        mc = run_trials(lambda rng: {"v": float(rng.normal(10.0, 1.0))},
+        mc = run_trials(lambda rng, m: {"v": rng.normal(10.0, 1.0, size=m)},
                         target="v", rng=np.random.default_rng(6),
                         precision=0.02, estimand="mean", batch_size=50)
         assert mc.stop_reason == "precision"
         assert mc.estimate == pytest.approx(10.0, abs=0.5)
+
+
+def _pcg_state(rng):
+    state = rng.bit_generator.state
+    return (state["state"]["state"], state["state"]["inc"],
+            state["has_uint32"], state["uinteger"])
+
+
+def reference_driver(batch_fn, n_trials=None, *, target, rng,
+                     precision=None, max_trials=None, batch_size=100,
+                     confidence=0.95, estimand="rate", quantile=None):
+    """``run_trials`` written out as a plain loop over the accumulators.
+
+    Batches of ``batch_size`` trials (the last one partial) until the
+    budget, the ceiling or the precision target; returns what the
+    engine's result reports.
+    """
+    acc = {"rate": RateAccumulator, "mean": MeanAccumulator,
+           "quantile": lambda: QuantileAccumulator(quantile)}[estimand]()
+    limit = n_trials if precision is None else \
+        (max_trials or DEFAULT_MAX_TRIALS)
+    stop = "budget" if precision is None else "max_trials"
+    totals, done = {}, 0
+    while done < limit:
+        m = min(batch_size, limit - done)
+        out = batch_fn(rng, m)
+        for key, val in out.items():
+            if key != target:
+                totals[key] = totals.get(key, 0) + val
+        if estimand == "rate":
+            acc.add(out[target], m)
+        else:
+            acc.add(out[target])
+        done += m
+        if precision is not None and \
+                acc.rel_half_width(confidence) <= precision:
+            stop = "precision"
+            break
+    if estimand == "rate":
+        totals[target] = acc.n_events
+    return acc.n_trials, acc.estimate(), acc.interval(confidence), stop, \
+        totals
+
+
+def _as_list(value):
+    return value.tolist() if isinstance(value, np.ndarray) else value
+
+
+class TestReferenceDriver:
+    """``run_trials`` equals the plain loop exactly, generator included."""
+
+    @staticmethod
+    def _rate(rng, m):
+        return {"event": int(np.count_nonzero(rng.random(m) < 0.3)),
+                "energy": float(rng.random(m).sum())}
+
+    @staticmethod
+    def _scalar(rng, m):
+        v = rng.normal(10.0, 2.0, size=m)
+        return {"v": v, "n_big": int(np.count_nonzero(v > 12.0))}
+
+    @staticmethod
+    def _vector(rng, m):
+        return {"v": rng.normal([1.0, 5.0], 1.0, size=(m, 2))}
+
+    @staticmethod
+    def _exponential(rng, m):
+        return {"v": rng.exponential(size=m)}
+
+    ESTIMANDS = {
+        "rate": ("_rate", "event", dict()),
+        "scalar-mean": ("_scalar", "v", dict(estimand="mean")),
+        "vector-mean": ("_vector", "v", dict(estimand="mean")),
+        "quantile": ("_exponential", "v",
+                     dict(estimand="quantile", quantile=0.1)),
+    }
+    # Every mode ends on a partial batch except a precision stop.
+    MODES = {
+        "fixed": (dict(n_trials=230, batch_size=50), "budget"),
+        "precision": (dict(precision=0.1, max_trials=6000, batch_size=70),
+                      "precision"),
+        "ceiling": (dict(precision=1e-4, max_trials=430, batch_size=60),
+                    "max_trials"),
+    }
+
+    @pytest.mark.parametrize("mode", sorted(MODES))
+    @pytest.mark.parametrize("estimand", sorted(ESTIMANDS))
+    def test_matches_reference(self, estimand, mode):
+        fn_name, target, kwargs = self.ESTIMANDS[estimand]
+        mode_kwargs, stop = self.MODES[mode]
+        kwargs = dict(kwargs, **mode_kwargs)
+        fn = getattr(self, fn_name)
+        rng = np.random.default_rng(41)
+        mc = run_trials(fn, target=target, rng=rng, **kwargs)
+        ref_rng = np.random.default_rng(41)
+        n, est, (lo, hi), ref_stop, totals = reference_driver(
+            fn, target=target, rng=ref_rng, **kwargs)
+        assert mc.stop_reason == ref_stop == stop
+        assert mc.n_trials == n
+        assert _as_list(mc.estimate) == _as_list(est)
+        assert (_as_list(mc.ci_low), _as_list(mc.ci_high)) == \
+            (_as_list(lo), _as_list(hi))
+        assert mc.totals == totals
+        assert _pcg_state(rng) == _pcg_state(ref_rng)
+        if mode == "fixed":
+            assert n == 230
+        if estimand == "rate":
+            assert mc.n_events == totals["event"]
+            assert mc.method == "wilson"
+        else:
+            assert mc.n_events is None
+            assert mc.method == ("normal" if estimand.endswith("mean")
+                                 else "order-stat")
+
+    def test_per_trial_matches_hand_loop(self):
+        """A per-trial function runs in ``batch_size`` chunks yet draws
+        and sums exactly as one loop over the whole budget."""
+        mc = run_trials(per_trial(_bernoulli_trial), n_trials=130,
+                        target="event", rng=np.random.default_rng(3),
+                        batch_size=40)
+        rng = np.random.default_rng(3)
+        outs = [_bernoulli_trial(rng) for _ in range(130)]
+        assert mc.totals == {"event": sum(o["event"] for o in outs),
+                             "extra": sum(o["extra"] for o in outs)}
+        assert all(type(v) is int for v in mc.totals.values())
+
+    def test_mean_target_needs_per_trial_values(self):
+        with pytest.raises(ConfigurationError, match="one value per trial"):
+            run_trials(lambda rng, m: {"v": float(m)}, n_trials=10,
+                       target="v", rng=1, estimand="mean")
+        with pytest.raises(ConfigurationError, match="one value per trial"):
+            run_trials(lambda rng, m: {"v": np.zeros(m + 1)}, n_trials=10,
+                       target="v", rng=1, estimand="quantile", quantile=0.5)
+
+    def test_grid_mean_estimand_per_point(self):
+        """A grid of means: each point's column is its own estimate."""
+        values = np.arange(40.0).reshape(2, 20)
+
+        def grid_fn(lo, hi, points):
+            return {"v": values[points, lo:hi]}
+
+        rs = run_grid_trials(grid_fn, 20, 2, target="v", batch_size=7,
+                             estimand="mean")
+        assert [r.estimate for r in rs] == [9.5, 29.5]
+        assert all(r.n_trials == 20 and r.method == "normal" for r in rs)
+        with pytest.raises(ConfigurationError, match="analytic"):
+            run_grid_trials(grid_fn, 20, 2, target="v", estimand="mean",
+                            analytic={0: 0.1})
+
+
+class TestWholeNumberBudgets:
+    """A fractional or boolean trial budget is rejected, never truncated."""
+
+    @staticmethod
+    def _batch(rng, m):
+        return {"event": int(np.count_nonzero(rng.random(m) < 0.5))}
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(n_trials=True), dict(n_trials=2.5), dict(n_trials=np.bool_(1)),
+        dict(n_trials="10"), dict(n_trials=float("inf")),
+        dict(n_trials=10, batch_size=100.9),
+        dict(precision=0.1, max_trials=150.7, batch_size=100),
+        dict(precision=0.1, max_trials=150, batch_size=False),
+    ])
+    def test_run_trials_rejects(self, kwargs):
+        with pytest.raises(ConfigurationError, match="whole number"):
+            run_trials(self._batch, target="event", rng=1, **kwargs)
+
+    def test_integral_floats_accepted(self):
+        a = run_trials(self._batch, n_trials=200.0, target="event", rng=4,
+                       batch_size=np.float64(50.0))
+        b = run_trials(self._batch, n_trials=200, target="event", rng=4,
+                       batch_size=50)
+        assert (a.n_trials, a.n_events) == (b.n_trials, b.n_events)
+        c = run_trials(self._batch, target="event", rng=4, precision=1e-6,
+                       max_trials=np.int64(150), batch_size=100)
+        assert c.n_trials == 150
+
+    def test_run_grid_trials_rejects(self):
+        def fn(lo, hi, points):
+            return {"event": np.zeros(len(points))}
+        with pytest.raises(ConfigurationError, match="n_trials"):
+            run_grid_trials(fn, 2.5, 2, target="event")
+
+    def test_relay_rejects_fractional_blocks(self):
+        from repro.coop.relay import RelaySimulator
+        with pytest.raises(ConfigurationError, match="n_trials"):
+            RelaySimulator("df", rng=1).run(10.0, n_blocks=2.5)
+
+    def test_coded_rejects_fractional_blocks(self):
+        from repro.coop.coded import CodedCooperationSimulator
+        with pytest.raises(ConfigurationError, match="n_trials"):
+            CodedCooperationSimulator(info_bits=48, rng=1).run(
+                2.0, n_blocks=2.5)
+
+    def test_capacity_rejects_fractional_draws(self):
+        from repro.phy.mimo.capacity import ergodic_capacity, outage_capacity
+        with pytest.raises(ConfigurationError, match="n_trials"):
+            ergodic_capacity(2, 2, 10.0, n_draws=2.5, rng=1)
+        with pytest.raises(ConfigurationError, match="n_trials"):
+            outage_capacity(2, 2, 10.0, n_draws=True, rng=1)
 
 
 # -- bit-exactness regressions ----------------------------------------------
@@ -414,6 +619,105 @@ class TestGoldenCoverageAndCapacity:
         from repro.phy.mimo.capacity import outage_capacity
         c = outage_capacity(2, 2, 12.0, outage=0.1, n_draws=400, rng=11)
         assert c == 4.684408364547731
+
+
+class TestGoldenAdaptive:
+    """Adaptive runs of every ``run_trials`` caller, pinned with the
+    generator state they leave behind: (trials, events, estimate, CI,
+    stop reason, totals, PCG64 (state, inc, has_uint32, uinteger))."""
+
+    @staticmethod
+    def _check(mc, rng, trials, events, estimate, ci, stop, totals, state):
+        assert (mc.n_trials, mc.n_events, mc.stop_reason) == \
+            (trials, events, stop)
+        assert _as_list(mc.estimate) == estimate
+        assert (_as_list(mc.ci_low), _as_list(mc.ci_high)) == ci
+        assert mc.totals == totals
+        assert _pcg_state(rng) == state
+
+    @pytest.mark.parametrize("kwargs, expected", [
+        (dict(precision=0.05, max_trials=20000, batch_size=300),
+         (1200, 716, 0.5966666666666667,
+          (0.5686449001068568, 0.6240715064432811), "precision",
+          {"covered": 716},
+          (307248263011167316367896548615323983294,
+           263843294879837360010514471918415607657, 0, 0))),
+        (dict(precision=0.001, max_trials=1300, batch_size=500),
+         (1300, 783, 0.6023076923076923,
+          (0.5754390262028862, 0.6285735078367917), "max_trials",
+          {"covered": 783},
+          (250448521894655241403571266376784171638,
+           263843294879837360010514471918415607657, 0, 0))),
+    ])
+    def test_coverage(self, kwargs, expected):
+        from repro.mesh.coverage import coverage_result
+        from repro.mesh.topology import grid_positions
+        rng = np.random.default_rng(2024)
+        mc = coverage_result(grid_positions(2, 60.0) + 40.0, 200.0,
+                             rng=rng, **kwargs)
+        self._check(mc, rng, *expected)
+
+    @pytest.mark.parametrize("protocol, seed, snr, max_trials, expected", [
+        ("df", 5, 10.0, 990,
+         (990, 50, 0.050505050505050504,
+          (0.03851750524884598, 0.06596742833795952), "max_trials",
+          {"direct_bit_errors": 710, "coop_bit_errors": 168,
+           "direct_outage": 183, "coop_outage": 50, "relay_decode": 804},
+          (332042406838303182697483937956484930934,
+           233193750087604940414945475171846202189, 0, 3651025533))),
+        ("af", 9, 8.0, 1000,
+         (350, 54, 0.15428571428571428,
+          (0.12021496943716672, 0.19586291242960666), "precision",
+          {"direct_bit_errors": 379, "coop_bit_errors": 126,
+           "direct_outage": 96, "coop_outage": 54, "relay_decode": 350},
+          (288563245757243277643936431712570465841,
+           47650611409575876553999889140290214363, 0, 678750799))),
+    ])
+    def test_relay(self, protocol, seed, snr, max_trials, expected):
+        from repro.coop.relay import RelaySimulator
+        sim = RelaySimulator(protocol, rng=seed)
+        r = sim.run(snr, 60, 32, precision=0.25, max_trials=max_trials,
+                    batch_size=25)
+        self._check(r.mc, sim.rng, *expected)
+
+    def test_coded_cooperation(self):
+        from repro.coop.coded import CodedCooperationSimulator
+        sim = CodedCooperationSimulator(info_bits=48, rng=3)
+        r = sim.run(2.0, 30, precision=0.35, max_trials=200, batch_size=15)
+        self._check(r.mc, sim.rng, 120, 25, 0.20833333333333334,
+                    (0.14528439608109694, 0.2894767843298135), "precision",
+                    {"direct_failure": 35, "repetition_failure": 17,
+                     "coded_failure": 25, "relay_decode": 83},
+                    (210826208637226897119776779696359644303,
+                     222003063171874261427395693950637096479, 0,
+                     3450870204))
+
+    def test_ergodic_capacity(self):
+        from repro.phy.mimo.capacity import ergodic_capacity
+        rng = np.random.default_rng(13)
+        mc = ergodic_capacity(2, 2, np.array([0.0, 10.0]), rng=rng,
+                              precision=0.02, max_trials=4000,
+                              batch_size=250, return_result=True)
+        self._check(mc, rng, 1250, None,
+                    [1.6888136308228183, 5.560822332177396],
+                    ([1.6553171954174448, 5.486073824417886],
+                     [1.7223100662281918, 5.635570839936905]),
+                    "precision", {},
+                    (275165010362826316376025622823638022318,
+                     317612346296202158696945144441957901887, 0, 0))
+        assert mc.method == "normal"
+
+    def test_outage_capacity(self):
+        from repro.phy.mimo.capacity import outage_capacity
+        rng = np.random.default_rng(11)
+        mc = outage_capacity(2, 2, 12.0, outage=0.1, rng=rng,
+                             precision=0.05, max_trials=5000,
+                             batch_size=700, return_result=True)
+        self._check(mc, rng, 700, None, 4.730568995076885,
+                    (4.458194292116585, 4.834223064839035), "precision", {},
+                    (305346244871625043839982635840544740673,
+                     7937318808080196428804369945471644491, 0, 0))
+        assert mc.method == "order-stat"
 
 
 class TestSimulatorAdaptiveMode:

@@ -145,7 +145,7 @@ class TestDisabledPath:
         def timed_run():
             t0 = time.perf_counter()
             run_trials(batch, n_trials=20000, target="hit", rng=1,
-                       batch_size=200, vectorized=True)
+                       batch_size=200)
             return time.perf_counter() - t0
 
         timed_run()  # warm-up: imports, allocator, branch caches
@@ -169,7 +169,7 @@ class TestDisabledPath:
         def timed_run():
             t0 = time.perf_counter()
             run_trials(batch, n_trials=20000, target="hit", rng=1,
-                       batch_size=200, vectorized=True)
+                       batch_size=200)
             return time.perf_counter() - t0
 
         timed_run()

@@ -259,6 +259,19 @@ class TestAbstractLink:
                 call(sim)
             assert str(sur_exc.value) == str(wav_exc.value)
 
+    def test_fractional_budget_rejected_on_both_paths(self):
+        link = AbstractLink(toy_surface([[0.1, 0.001]]), rng=5)
+        sim = LinkSimulator("dsss-1", "awgn", rng=5)
+        for call in (lambda s: s.run(8.0, 2.5, 25),
+                     lambda s: s.run(8.0, True, 25),
+                     lambda s: s.run(8.0, 10, 2.5)):
+            with pytest.raises(ConfigurationError,
+                               match="whole number") as sur_exc:
+                call(link)
+            with pytest.raises(ConfigurationError) as wav_exc:
+                call(sim)
+            assert str(sur_exc.value) == str(wav_exc.value)
+
     def test_snr_for_per_deterministic_and_monotone(self):
         s = toy_surface([[0.9, 0.5, 0.1, 0.001]],
                         snrs=(0.0, 4.0, 8.0, 12.0))
