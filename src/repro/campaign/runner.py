@@ -97,6 +97,7 @@ from repro.campaign.spec import EXECUTION_BACKENDS
 from repro.errors import ConfigurationError, PointExecutionError
 from repro.obs import live
 from repro.obs import metrics as obs_metrics
+from repro.utils.validation import require_count
 
 # -- point-kind registry -----------------------------------------------------
 
@@ -159,10 +160,13 @@ def _link_options(params):
         "detector": params.get("detector", "mmse"),
     }
     return link, {
-        "n_packets": int(params.get("n_packets", 100)),
-        "payload_bytes": int(params.get("payload_bytes", 100)),
+        "n_packets": require_count("n_packets",
+                                   params.get("n_packets", 100)),
+        "payload_bytes": require_count("payload_bytes",
+                                       params.get("payload_bytes", 100)),
         "precision": float(precision) if precision is not None else None,
-        "max_trials": int(max_trials) if max_trials is not None else None,
+        "max_trials": (require_count("max_trials", max_trials)
+                       if max_trials is not None else None),
         "confidence": float(params.get("confidence", 0.95)),
         "analytic_floor": float(floor) if floor is not None else None,
     }
@@ -244,8 +248,8 @@ def _run_link_grid_point(params, rng):
     confidence = float(params.get("confidence", 0.95))
     row = run_link_grid(
         params["phy"], snrs,
-        n_packets=int(params.get("n_packets", 100)),
-        payload_bytes=int(params.get("payload_bytes", 100)),
+        n_packets=params.get("n_packets", 100),
+        payload_bytes=params.get("payload_bytes", 100),
         channel=params.get("channel", "awgn"),
         analytic_floor=float(floor) if floor is not None else None,
         confidence=confidence,

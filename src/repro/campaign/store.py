@@ -23,7 +23,8 @@ Each campaign directory holds
 
 ``spec.json``
     The spec of the last run (for ``show``/``report`` defaults).
-    Always a filesystem file, whichever backend holds the records.
+    Always a filesystem file, whichever backend holds the records;
+    replaced atomically, so a killed run leaves a loadable one.
 ``records.jsonl`` / ``records.sqlite``
     The backend's record storage.
 ``trace/``
@@ -46,6 +47,7 @@ import numpy as np
 from repro.campaign.spec import (STORE_BACKENDS, CampaignSpec,
                                  validate_campaign_name)
 from repro.errors import ConfigurationError
+from repro.utils.fileio import write_atomic
 
 RECORDS_FILE = "records.jsonl"
 SPEC_FILE = "spec.json"
@@ -142,8 +144,12 @@ class ResultsStore:
     # -- writing -------------------------------------------------------------
 
     def write_spec(self, spec):
-        """Persist the spec alongside its records (skipped if unchanged)."""
-        os.makedirs(self.campaign_dir(spec.name), exist_ok=True)
+        """Persist the spec alongside its records (skipped if unchanged).
+
+        Written with :func:`~repro.utils.fileio.write_atomic`, so a run
+        killed mid-write leaves the previous complete ``spec.json`` and
+        ``resume`` can still load it.
+        """
         path = os.path.join(self.campaign_dir(spec.name), SPEC_FILE)
         data = (json.dumps(spec.to_dict(), indent=2, sort_keys=True)
                 + "\n").encode("utf-8")
@@ -151,8 +157,7 @@ class ResultsStore:
             with open(path, "rb") as fh:
                 if fh.read() == data:
                     return
-        with open(path, "wb") as fh:
-            fh.write(data)
+        write_atomic(path, data)
 
     def append(self, name, record):
         """Append one completed point record, atomically.

@@ -26,10 +26,13 @@ it:
 The file is written by a background ticker thread every heartbeat
 interval, the first one heartbeat into the run, and once more at the
 end (``finish``); a run shorter than one heartbeat writes it once.
-Writes are atomic (temp file + ``os.replace``): a reader can never
-observe a torn document, and a run killed at any instant leaves the
-last complete snapshot behind — the previous run's, if the kill lands
-inside the first heartbeat. Records and resume do not depend on it.
+Writes are atomic (:func:`repro.utils.fileio.write_atomic`: a hidden
+temp file swapped into place with ``renameat2(RENAME_EXCHANGE)``): a
+reader sees the old or the new complete document, never a torn one,
+and a run killed at any instant leaves the last complete snapshot
+behind — the previous run's, if the kill lands inside the first
+heartbeat. The file is not fsynced. Records and resume do not depend
+on it.
 
 Stall detection: an *alive* worker whose last heartbeat is older than
 ``stall_after_s`` (default ``STALL_AFTER_BEATS`` heartbeat intervals)
@@ -40,7 +43,6 @@ forfeited leases increment ``stalls_detected`` permanently.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import os
@@ -50,6 +52,7 @@ import time
 from repro.errors import ConfigurationError
 from repro.obs import metrics as obs_metrics
 from repro.obs.writer import _json_safe
+from repro.utils.fileio import write_atomic
 
 #: Name of the live status document inside a campaign directory.
 STATUS_FILE = "status.json"
@@ -84,31 +87,17 @@ def status_path(campaign_dir):
     return os.path.join(os.fspath(campaign_dir), STATUS_FILE)
 
 
-#: Distinguishes concurrent writers (ticker thread vs control loop) so
-#: they never collide on one temp file name.
-_WRITE_SEQ = itertools.count()
-
-
 def write_json_atomic(path, document):
-    """Write ``document`` as JSON via a same-directory temp + rename.
+    """Write ``document`` as JSON with :func:`~repro.utils.fileio.write_atomic`.
 
-    ``os.replace`` is atomic on POSIX, so a concurrent reader sees
-    either the previous complete document or the new one — never a
-    truncated file, whatever instant the writer is killed at. The temp
-    name is unique per process *and* per call: two threads snapshotting
-    at once each rename their own complete file.
+    A concurrent reader sees either the previous complete document or
+    the new one — never a truncated file, whatever instant the writer
+    is killed at. Each call writes its own temp file, so two threads
+    snapshotting at once each swap in a complete document.
     """
-    path = os.fspath(path)
-    parent = os.path.dirname(path) or "."
-    os.makedirs(parent, exist_ok=True)
-    tmp = os.path.join(parent, f".{os.path.basename(path)}"
-                               f".tmp-{os.getpid()}-{next(_WRITE_SEQ)}")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(_json_safe(document), fh, sort_keys=True,
-                  allow_nan=False)
-        fh.write("\n")
-    os.replace(tmp, path)
-    return path
+    data = json.dumps(_json_safe(document), sort_keys=True,
+                      allow_nan=False) + "\n"
+    return write_atomic(path, data.encode("utf-8"))
 
 
 def read_status(path):

@@ -24,6 +24,7 @@ import math
 import os
 
 from repro.errors import ConfigurationError
+from repro.utils.fileio import write_atomic
 
 #: Name of the merged, report-ready trace inside a trace directory.
 MERGED_TRACE_FILE = "trace.jsonl"
@@ -57,10 +58,14 @@ class TraceWriter:
 
     def write(self, events):
         """Append ``events`` (dicts) as one line each."""
-        lines = [json.dumps(_json_safe(e), sort_keys=True,
-                            allow_nan=False) for e in events]
         with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write(_encode_events(events))
+
+
+def _encode_events(events):
+    """``events`` as newline-terminated JSON lines ("" for none)."""
+    return "".join(json.dumps(_json_safe(e), sort_keys=True,
+                              allow_nan=False) + "\n" for e in events)
 
 
 def read_trace(path):
@@ -120,6 +125,10 @@ def merge_trace_dir(trace_dir, remove_parts=True, fold_existing=False):
     read back and folded in alongside the new part files — the resume
     path: a resumed campaign appends its spans to the interrupted run's
     trace instead of replacing it.
+
+    The merged file is replaced atomically
+    (:func:`~repro.utils.fileio.write_atomic`) before any part is
+    removed, so a kill mid-merge keeps the previous trace and the parts.
     """
     trace_dir = os.fspath(trace_dir)
     merged = os.path.join(trace_dir, MERGED_TRACE_FILE)
@@ -136,11 +145,8 @@ def merge_trace_dir(trace_dir, remove_parts=True, fold_existing=False):
         events.extend(read_trace(part))
     events.sort(key=lambda e: (e.get("t_wall") or 0.0,
                                e.get("pid") or 0, e.get("seq") or 0))
-    # Truncate-then-append: a pre-existing merged file (re-merge of the
-    # same directory) must be replaced, not extended.
-    open(merged, "w", encoding="utf-8").close()
-    if events:
-        TraceWriter(merged).write(events)
+    # Replace, not extend, a pre-existing merged file.
+    write_atomic(merged, _encode_events(events).encode("utf-8"))
     if remove_parts:
         for part in parts:
             os.remove(part)

@@ -24,7 +24,8 @@ from repro.core.link import LinkResult, LinkSimulator
 from repro.core.mc import run_trials
 from repro.errors import ConfigurationError
 from repro.utils.rng import as_generator
-from repro.utils.validation import require_snr_array, validate_link_run_args
+from repro.utils.validation import (require_count, require_snr_array,
+                                    validate_link_run_args)
 
 
 class AbstractLink:
@@ -215,8 +216,8 @@ class WaveformLink:
         self.phy_name = self.sim.phy_name
         self.channel_name = self.sim.channel_name
         self.rate_mbps = self.sim.rate_mbps
-        self.n_packets = int(n_packets)
-        self.payload_bytes = int(payload_bytes)
+        self.n_packets = require_count("n_packets", n_packets)
+        self.payload_bytes = require_count("payload_bytes", payload_bytes)
         self.quantize_db = float(quantize_db)
         if not self.quantize_db > 0:
             raise ConfigurationError(

@@ -31,6 +31,7 @@ from repro.campaign.runner import run_campaign
 from repro.campaign.spec import CampaignSpec
 from repro.errors import ConfigurationError
 from repro.surrogate.surface import (SURFACE_META_FILE, PerSurface)
+from repro.utils.validation import require_count
 
 #: The point kind surface cells run as (registered in campaign.runner).
 SURFACE_KIND = "surface-link"
@@ -70,13 +71,13 @@ def surface_spec(name, phys, snr_db, payload_bytes=(100,), channel="awgn",
         raise ConfigurationError(f"phys must be unique, got {phys}")
     fixed = {
         "channel": str(channel),
-        "n_packets": int(n_packets),
+        "n_packets": require_count("n_packets", n_packets),
         "confidence": float(confidence),
     }
     if precision is not None:
         fixed["precision"] = float(precision)
     if max_trials is not None:
-        fixed["max_trials"] = int(max_trials)
+        fixed["max_trials"] = require_count("max_trials", max_trials)
     return CampaignSpec(
         name=str(name),
         kind=SURFACE_KIND,
@@ -156,7 +157,7 @@ def build_surface(name, phys, snr_db, payload_bytes=(100,), channel="awgn",
                 "base_seed": int(base_seed),
                 "kind": SURFACE_KIND,
                 "code_version": code_version,
-                "n_packets": int(n_packets),
+                "n_packets": spec.fixed["n_packets"],
                 "precision": precision,
                 "max_trials": max_trials,
                 "confidence": float(confidence),

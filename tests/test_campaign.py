@@ -13,6 +13,7 @@ from repro.campaign import (CampaignSpec, ResultsStore, builtin_campaign,
                             builtin_campaigns, failure_lines, format_pivot,
                             load_spec, make_store, pivot, point_key,
                             point_kinds, run_campaign)
+from repro.campaign import runner
 from repro.campaign.runner import register_point_kind
 from repro.campaign.seeding import (attempt_generator, attempt_seed,
                                     point_generator, point_seed)
@@ -215,6 +216,20 @@ class TestRunner:
         assert all(r["outcome"] == "ok" for r in result.records)
         assert all(0.0 <= r["metrics"]["per"] <= 1.0 for r in result.records)
 
+    def test_link_point_budgets_must_be_whole(self):
+        for key, value in (("n_packets", 2.5), ("payload_bytes", 20.5),
+                           ("max_trials", 150.7)):
+            with pytest.raises(ConfigurationError,
+                               match=f"{key} must be a whole number"):
+                runner._link_options({key: value})
+        _, run = runner._link_options(
+            {"n_packets": 3.0, "payload_bytes": 20.0, "max_trials": 150.0})
+        assert (run["n_packets"], run["payload_bytes"],
+                run["max_trials"]) == (3, 20, 150)
+        with pytest.raises(ConfigurationError, match="whole number"):
+            runner._run_link_grid_point(
+                {"phy": "dsss-1", "snrs": [0.0], "n_packets": 2.5}, 1)
+
     def test_parallel_bit_identical_to_serial(self, tmp_path):
         spec = quick_spec()
         serial = run_campaign(spec, workers=1,
@@ -399,6 +414,24 @@ class TestStore:
             store.write_spec(widened)
             assert os.stat(path).st_mtime_ns != past
             assert store.load_spec("tiny") == widened
+        finally:
+            store.close()
+
+    @pytest.mark.parametrize("backend", ["jsonl", "sqlite"])
+    def test_failed_spec_write_keeps_previous_spec(self, tmp_path, backend,
+                                                   failing_write):
+        store = make_store(tmp_path, backend)
+        try:
+            cdir = store.campaign_dir("tiny")
+            os.makedirs(cdir)
+            with open(os.path.join(cdir, "spec.json"), "w") as fh:
+                json.dump(quick_spec().to_dict(), fh)
+            widened = quick_spec(factors={"phy": ["dsss-1", "dsss-2"],
+                                          "snr_db": [0.0, 8.0, 16.0]})
+            with pytest.raises(OSError, match="No space"):
+                store.write_spec(widened)
+            assert store.load_spec("tiny") == quick_spec()
+            assert sorted(os.listdir(cdir)) == ["spec.json"]
         finally:
             store.close()
 

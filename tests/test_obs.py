@@ -234,6 +234,25 @@ class TestWriterAndMerge:
         _, again = obs.merge_trace_dir(tmp_path)
         assert len(again) == len(events)
 
+    def test_failed_merge_keeps_old_trace_and_parts(self, tmp_path,
+                                                    failing_write):
+        def counter(path, pid, t):
+            obs.TraceWriter(path).write([
+                {"type": "counter", "name": "n", "pid": pid, "seq": 0,
+                 "t_wall": t, "value": 1}])
+
+        # An interrupted run's merged trace, then the resumed run's part.
+        merged = tmp_path / obs.MERGED_TRACE_FILE
+        counter(merged, 10, 0.0)
+        before = merged.read_bytes()
+        counter(obs.part_path(tmp_path, "main", pid=11), 11, 2.0)
+        with pytest.raises(OSError, match="No space"):
+            obs.merge_trace_dir(tmp_path, fold_existing=True)
+        assert merged.read_bytes() == before
+        # The part survives for the next merge to fold in.
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "main-11.jsonl", obs.MERGED_TRACE_FILE]
+
     def test_reset_trace_dir_clears_stale_parts(self, tmp_path):
         stale = tmp_path / "worker-999.jsonl"
         stale.write_text("{}\n")

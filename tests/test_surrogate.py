@@ -9,7 +9,7 @@ from repro.errors import ConfigurationError
 from repro.mesh.coverage import coverage_result
 from repro.surrogate import (AbstractLink, PerSurface, WaveformLink,
                              build_surface, list_surfaces, load_surface,
-                             require_valid, validate_surface)
+                             require_valid, surface_spec, validate_surface)
 
 # The validation grid of the acceptance criteria: 3 rates x 4 SNRs over
 # cheap DSSS/CCK waveforms, one payload, fixed seeds throughout.
@@ -202,6 +202,19 @@ class TestBuilder:
         with pytest.raises(ConfigurationError):
             build_surface("bad", ["dsss-1"], snr_db=[])
 
+    def test_fractional_budgets_rejected_at_spec_time(self):
+        for kwargs in ({"n_packets": 2.5},
+                       {"precision": 0.1, "max_trials": 150.7}):
+            with pytest.raises(ConfigurationError, match="whole number"):
+                surface_spec("bad", ["dsss-1"], snr_db=[0.0], **kwargs)
+        whole = surface_spec("ok", ["dsss-1"], snr_db=[0.0], n_packets=80.0,
+                             precision=0.1, max_trials=150.0)
+        assert whole == surface_spec("ok", ["dsss-1"], snr_db=[0.0],
+                                     n_packets=80, precision=0.1,
+                                     max_trials=150)
+        assert type(whole.fixed["n_packets"]) is int
+        assert type(whole.fixed["max_trials"]) is int
+
 
 class TestAbstractLink:
     def test_needs_phy_when_ambiguous(self, surface):
@@ -271,6 +284,15 @@ class TestAbstractLink:
             with pytest.raises(ConfigurationError) as wav_exc:
                 call(sim)
             assert str(sur_exc.value) == str(wav_exc.value)
+
+    def test_waveform_link_rejects_fractional_budget(self):
+        for kwargs in ({"n_packets": 2.5}, {"payload_bytes": 20.5}):
+            with pytest.raises(ConfigurationError, match="whole number"):
+                WaveformLink("dsss-1", "awgn", rng=1, **kwargs)
+        link = WaveformLink("dsss-1", "awgn", rng=1, n_packets=3.0,
+                            payload_bytes=20.0)
+        assert (link.n_packets, link.payload_bytes) == (3, 20)
+        assert link.per_at(30.0) == 0.0
 
     def test_snr_for_per_deterministic_and_monotone(self):
         s = toy_surface([[0.9, 0.5, 0.1, 0.001]],
