@@ -5,14 +5,26 @@ unit *average* energy, Gray coding per I/Q rail, with the first half of a
 symbol's bits selecting I and the second half selecting Q.
 
 Both hard-decision demapping and max-log-MAP soft LLRs are provided; the
-Viterbi and LDPC decoders consume the soft outputs.
+Viterbi and LDPC decoders consume the soft outputs. One per-rail demapper
+serves every order, BPSK included (its Q rail carries no bits). It is
+exact for Gray-coded square QAM: a point's squared distance to a symbol
+is the sum of its I and Q rails' PAM distances, and each bit is carried
+by one rail only, so in that bit's max-log LLR the other rail's minimum
+appears in both terms and cancels. The LLR is then
+``(min over the rail's levels with bit 1 of (v - a)^2 - min over those
+with bit 0) / sigma^2``, taken from 2 x sqrt(M) length-n distance
+columns instead of an n x M distance matrix, and hard decisions round
+each rail to its nearest level.
 """
 
 from __future__ import annotations
 
+from functools import reduce
+
 import numpy as np
 
 from repro.errors import ConfigurationError, DemodulationError
+
 
 def _kmod(bits_per_symbol):
     """Amplitude normalisation giving the constellation unit mean power.
@@ -26,35 +38,18 @@ def _kmod(bits_per_symbol):
     return 1.0 / np.sqrt(2.0 * (4 ** (bits_per_symbol // 2) - 1) / 3.0)
 
 
-def _pam_levels(bits_on_rail):
-    """Gray-coded PAM levels of one rail: the odd integers, ascending."""
-    if bits_on_rail == 0:
-        return np.array([0.0])  # BPSK has no Q rail
-    m = 1 << bits_on_rail
-    return np.arange(-(m - 1), m, 2, dtype=float)
-
-
-def _gray_to_level(bits_on_rail):
-    """Bits value -> level index, binary-reflected Gray per 802.11."""
-    m = 1 << bits_on_rail
-    indices = np.arange(m)
-    table = np.empty(m, dtype=np.int64)
-    table[indices ^ (indices >> 1)] = indices
-    return table
-
-
 #: Per-rail amplitude normalisation so the constellation has unit mean power.
 _KMOD = {b: _kmod(b) for b in (1, 2, 4, 6, 8, 10)}
-
-#: Gray-coded PAM levels per rail, indexed by bits-per-rail.
-_PAM_LEVELS = {b: _pam_levels(b) for b in range(6)}
-
-#: Gray code order for each rail size: bits value -> level index.
-_GRAY_TO_LEVEL = {b: _gray_to_level(b) for b in range(1, 6)}
 
 
 class Modulator:
     """Gray-mapped square QAM/PSK modulator-demodulator.
+
+    Hard and soft demapping run per I/Q rail for every order: one column
+    of squared distances per PAM level, and each Gray bit's max-log LLR
+    from the minima over its two level sets. This equals the
+    full-constellation max-log result up to rounding (see the module
+    docstring for why).
 
     Parameters
     ----------
@@ -93,58 +88,35 @@ class Modulator:
             self._bits_i, self._bits_q = 1, 0
         else:
             self._bits_i = self._bits_q = bits_per_symbol // 2
+        #: The per-rail tables, shared by the I and Q rails: the PAM
+        #: levels (odd integers, ascending, scaled), each level's Gray
+        #: label, and per label bit the level indices whose bit is 1 and 0.
+        m = 1 << self._bits_i
+        self._rail_levels = self.kmod * np.arange(-(m - 1), m, 2, dtype=float)
+        self._level_to_gray = gray = np.arange(m) ^ (np.arange(m) >> 1)
+        self._bit_levels = [
+            (np.flatnonzero(gray >> b & 1).tolist(),
+             np.flatnonzero((gray >> b & 1) == 0).tolist())
+            for b in range(self._bits_i)
+        ]
         self._constellation = self._build_constellation()
-        self._labels = self._build_labels()
+        #: Bits of each table index, LSB first: labels[value, bit].
+        self._labels = ((np.arange(1 << bits_per_symbol)[:, None]
+                         >> np.arange(bits_per_symbol)) & 1).astype(np.int8)
         #: Weights turning a (..., bits_per_symbol) bit block into the
         #: constellation table index (LSB-first, exact integer arithmetic).
         self._bit_weights = 1 << np.arange(self.bits_per_symbol)
-        #: Per-bit boolean masks over the constellation: mask[b] selects
-        #: the points whose label has bit b equal to 0.
-        self._bit0_masks = (self._labels == 0).T.copy()
-        #: High-order constellations (256-/1024-QAM) demap per I/Q rail —
-        #: exact for Gray-coded square QAM under the max-log metric, and
-        #: it keeps the distance matrix at n_levels instead of n_points
-        #: columns (32 vs 1024 for 1024-QAM) in batched Monte-Carlo runs.
-        self._use_rails = bits_per_symbol >= 8
-        if self._use_rails:
-            gray = np.arange(1 << self._bits_i)
-            gray ^= gray >> 1
-            #: level index -> Gray label of that PAM level, per rail.
-            self._level_to_gray = gray
-            #: Gray label bit b == 0 mask over the PAM levels, per bit.
-            self._rail_bit0 = np.array(
-                [(gray >> b) & 1 == 0 for b in range(self._bits_i)]
-            )
-            self._rail_levels = self.kmod * _PAM_LEVELS[self._bits_i]
-
-    # -- construction --------------------------------------------------
-
-    def _rail_level(self, bits_value, bits_on_rail):
-        """PAM level for the Gray-labelled ``bits_value`` on one rail."""
-        if bits_on_rail == 0:
-            return 0.0
-        index = _GRAY_TO_LEVEL[bits_on_rail][bits_value]
-        return _PAM_LEVELS[bits_on_rail][index]
 
     def _build_constellation(self):
-        m = 1 << self.bits_per_symbol
-        points = np.empty(m, dtype=np.complex128)
-        for value in range(m):
-            i_bits = value & ((1 << self._bits_i) - 1)
-            q_bits = value >> self._bits_i
-            points[value] = self.kmod * complex(
-                self._rail_level(i_bits, self._bits_i),
-                self._rail_level(q_bits, self._bits_q),
-            )
+        """Points indexed by bits value: low bits pick I, high bits Q."""
+        label_to_level = np.argsort(self._level_to_gray)
+        values = np.arange(1 << self.bits_per_symbol)
+        low = values & ((1 << self._bits_i) - 1)
+        points = self._rail_levels[label_to_level[low]].astype(np.complex128)
+        if self._bits_q:
+            high = values >> self._bits_i
+            points.imag = self._rail_levels[label_to_level[high]]
         return points
-
-    def _build_labels(self):
-        m = 1 << self.bits_per_symbol
-        labels = np.zeros((m, self.bits_per_symbol), dtype=np.int8)
-        for value in range(m):
-            for bit in range(self.bits_per_symbol):
-                labels[value, bit] = (value >> bit) & 1
-        return labels
 
     @property
     def constellation(self):
@@ -166,23 +138,21 @@ class Modulator:
 
     # -- demodulation ----------------------------------------------------
 
-    # -- per-rail fast path (256-/1024-QAM) -----------------------------
-
-    def _rail_nearest(self, values):
-        """Nearest PAM level index on one rail for real ``values``."""
-        m = 1 << self._bits_i
-        scaled = (values / self.kmod + (m - 1)) / 2.0
-        return np.clip(np.rint(scaled), 0, m - 1).astype(np.int64)
+    def _rails(self, symbols):
+        """``(first bit, values)`` per I/Q rail that carries bits."""
+        if self._bits_q == 0:
+            return ((0, symbols.real),)
+        return ((0, symbols.real), (self._bits_i, symbols.imag))
 
     def _nearest_point(self, symbols):
         """Constellation table index of the nearest point per symbol."""
-        if self._use_rails:
-            i_idx = self._rail_nearest(symbols.real)
-            q_idx = self._rail_nearest(symbols.imag)
-            return (self._level_to_gray[i_idx]
-                    | self._level_to_gray[q_idx] << self._bits_i)
-        distances = np.abs(symbols[:, None] - self._constellation[None, :])
-        return np.argmin(distances, axis=1)
+        m = 1 << self._bits_i
+        index = np.zeros(symbols.shape, dtype=np.int64)
+        for first_bit, values in self._rails(symbols):
+            level = np.clip(np.rint((values / self.kmod + (m - 1)) / 2.0),
+                            0, m - 1).astype(np.int64)
+            index |= self._level_to_gray[level] << first_bit
+        return index
 
     def demodulate_hard(self, symbols):
         """Minimum-distance hard decisions, returned as a bit array."""
@@ -194,6 +164,8 @@ class Modulator:
 
         Positive LLR means bit = 0 is more likely, matching the convention
         ``LLR = log P(b=0|y) - log P(b=1|y)`` consumed by the decoders.
+        The output is float64, ``bits_per_symbol`` LLRs per symbol in
+        bit order.
 
         Parameters
         ----------
@@ -201,41 +173,22 @@ class Modulator:
             Received (equalised) symbols.
         noise_var : float or array
             Per-symbol complex noise variance after equalisation. May be a
-            scalar or an array broadcastable to ``symbols``.
+            scalar or an array broadcastable to ``symbols``; it is floored
+            at 1e-12.
         """
         symbols = np.asarray(symbols, dtype=np.complex128).ravel()
         noise_var = np.broadcast_to(
             np.maximum(np.asarray(noise_var, dtype=float), 1e-12), symbols.shape
         )
-        if self._use_rails:
-            return self._demodulate_soft_rails(symbols, noise_var)
-        # metric[n, m] = -|y_n - c_m|^2 / sigma_n^2
-        sq = np.abs(symbols[:, None] - self._constellation[None, :]) ** 2
-        metric = -sq / noise_var[:, None]
         llrs = np.empty((symbols.size, self.bits_per_symbol))
-        for bit in range(self.bits_per_symbol):
-            mask0 = self._bit0_masks[bit]
-            llrs[:, bit] = metric[:, mask0].max(axis=1) - metric[:, ~mask0].max(axis=1)
-        return llrs.ravel()
-
-    def _demodulate_soft_rails(self, symbols, noise_var):
-        """Max-log LLRs computed independently per I/Q rail.
-
-        The 2D metric -|y - c|^2 / sigma^2 separates into rail terms, and
-        the max over the opposite rail cancels in every LLR difference, so
-        this equals the full-constellation max-log result exactly.
-        """
-        llrs = np.empty((symbols.size, self.bits_per_symbol))
-        for rail, values in ((0, symbols.real), (1, symbols.imag)):
-            # metric[n, l] = -(v_n - level_l)^2 / sigma_n^2
-            metric = -((values[:, None] - self._rail_levels[None, :]) ** 2)
-            metric /= noise_var[:, None]
-            offset = rail * self._bits_i
-            for bit in range(self._bits_i):
-                mask0 = self._rail_bit0[bit]
-                llrs[:, offset + bit] = (
-                    metric[:, mask0].max(axis=1) - metric[:, ~mask0].max(axis=1)
-                )
+        for first_bit, values in self._rails(symbols):
+            # One column of squared distances per PAM level of the rail.
+            dist = [(values - level) ** 2 for level in self._rail_levels]
+            for bit, (ones, zeros) in enumerate(self._bit_levels):
+                np.subtract(reduce(np.minimum, [dist[l] for l in ones]),
+                            reduce(np.minimum, [dist[l] for l in zeros]),
+                            out=llrs[:, first_bit + bit])
+        llrs /= noise_var[:, None]
         return llrs.ravel()
 
     def symbol_error_positions(self, sent_symbols, received_symbols):

@@ -156,9 +156,9 @@ PREAMBLE_SAMPLES = 320  # STF + LTF
 
 #: Sample budget of one receive front-end block, so a stacked batch
 #: holds no more scratch than a block whatever its row count. A DATA
-#: symbol costs its 80 time samples plus its 48 x 2^bits demapper
-#: distances (the max-log distance matrix, not the waveform, dominates
-#: at 64-QAM); the front end's peak is ~3 MB per 100k of these. A
+#: symbol is costed at its 80 time samples plus 48 x 2^bits, the size
+#: of a full-constellation distance matrix; the per-rail demapper needs
+#: far less at 16- and 64-QAM, so this over-counts the high rates. A
 #: 1500-byte row costs 88k at 6 Mbps and 176k at 54 Mbps, so a block
 #: holds two such 6 Mbps rows or one 54 Mbps row.
 RX_BLOCK_BUDGET = 1 << 18

@@ -5,15 +5,30 @@ scalar PHY kernels (commit bfe1190). ``tests/test_phy_goldens.py`` replays
 every case against the current code and asserts exact equality, so any
 vectorization that changes a single bit or float ULP fails loudly.
 
+The soft-LLR arrays ``mod_{1,2,4,6}_soft_{scalar,vec}`` were re-pinned
+once, on purpose, when ``Modulator.demodulate_soft`` became one per-rail
+max-log demapper for every order: it takes the same minima from per-rail
+distance columns instead of the full n x M distance matrix, so its LLRs
+moved by a few ULPs (<= 5.5e-15 relative). The earlier full-search values
+are kept as ``mod_{bps}_soft_{scalar,vec}_fullsearch``, regenerated here
+by :func:`full_search_llrs`, and the tests require the current LLRs to
+match them within 1e-12 of the array's largest |LLR|. Every other array,
+the hard decisions included, was left byte-identical.
+
 Run from the repo root::
 
     PYTHONPATH=src python tests/goldens/generate_phy_goldens.py
+    PYTHONPATH=src python tests/goldens/generate_phy_goldens.py --check
 
 Only rerun it intentionally (e.g. to add cases); regenerating after a
-behaviour change defeats the guard.
+behaviour change defeats the guard. ``--check`` regenerates the archive
+in memory, prints every key whose bytes differ from the stored one, and
+exits 1 if any do; it writes nothing.
 """
 
+import argparse
 import os
+import sys
 
 import numpy as np
 from numpy.random import default_rng
@@ -38,6 +53,27 @@ OUT_PATH = os.path.join(os.path.dirname(__file__), "phy_goldens.npz")
 
 PAYLOAD_BYTES = 40
 HT_MCS_CASES = (0, 5, 8, 13)
+
+
+def full_search_llrs(mod, symbols, noise_var):
+    """Max-log LLRs from the full n x M constellation distance matrix.
+
+    This is the demapper the soft-LLR goldens were first captured with,
+    kept step for step so that its ``_fullsearch`` arrays regenerate
+    bit-exactly.
+    """
+    symbols = np.asarray(symbols, dtype=np.complex128).ravel()
+    noise_var = np.broadcast_to(
+        np.maximum(np.asarray(noise_var, dtype=float), 1e-12), symbols.shape)
+    points = mod.constellation
+    metric = -np.abs(symbols[:, None] - points[None, :]) ** 2
+    metric = metric / noise_var[:, None]
+    llrs = np.empty((symbols.size, mod.bits_per_symbol))
+    for bit in range(mod.bits_per_symbol):
+        mask0 = (np.arange(points.size) >> bit & 1) == 0
+        llrs[:, bit] = (metric[:, mask0].max(axis=1)
+                        - metric[:, ~mask0].max(axis=1))
+    return llrs.ravel()
 
 
 def generate():
@@ -85,6 +121,10 @@ def generate():
         out[f"mod_{bps}_hard"] = mod.demodulate_hard(noisy)
         out[f"mod_{bps}_soft_scalar"] = mod.demodulate_soft(noisy, 0.02)
         out[f"mod_{bps}_soft_vec"] = mod.demodulate_soft(noisy, nv_vec)
+        out[f"mod_{bps}_soft_scalar_fullsearch"] = full_search_llrs(
+            mod, noisy, 0.02)
+        out[f"mod_{bps}_soft_vec_fullsearch"] = full_search_llrs(
+            mod, noisy, nv_vec)
 
     # -- convolutional coding ---------------------------------------------
     info = rng.integers(0, 2, 500).astype(np.int8)
@@ -172,10 +212,43 @@ def generate():
         [f"{p}|{c}|{s}|{snr}|{n}|{b}"
          for p, c, s, snr, n, b in link_cases])
 
+    return out
+
+
+def differing_keys(out, path=OUT_PATH):
+    """Keys whose dtype, shape or bytes differ between ``out`` and ``path``,
+    including keys present on one side only."""
+    with np.load(path) as stored:
+        stored = {key: stored[key] for key in stored.files}
+    differ = []
+    for key in sorted(set(out) | set(stored)):
+        if key not in out or key not in stored:
+            differ.append(key)
+            continue
+        new, old = np.asarray(out[key]), stored[key]
+        if (new.dtype != old.dtype or new.shape != old.shape
+                or new.tobytes() != old.tobytes()):
+            differ.append(key)
+    return differ
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--check", action="store_true",
+                    help="compare against the stored archive; write nothing")
+    args = ap.parse_args(argv)
+    out = generate()
+    if args.check:
+        differ = differing_keys(out)
+        for key in differ:
+            print(f"differs: {key}")
+        print(f"{len(differ)} of {len(out)} arrays differ from {OUT_PATH}")
+        return 1 if differ else 0
     np.savez_compressed(OUT_PATH, **out)
     print(f"wrote {OUT_PATH} with {len(out)} arrays "
           f"({os.path.getsize(OUT_PATH)} bytes)")
+    return 0
 
 
 if __name__ == "__main__":
-    generate()
+    sys.exit(main())

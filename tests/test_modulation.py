@@ -1,5 +1,7 @@
 """Tests for repro.phy.modulation."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -133,35 +135,83 @@ class TestNames:
             modulation_name(bad)
 
 
-class TestRailFastPath:
-    """256-/1024-QAM demap per I/Q rail; must equal the full-matrix path."""
+def _python_points(bps):
+    """Every point by label value, from the 802.11 rule in Python floats:
+    Gray-coded odd-integer PAM per rail, low bits on I, unit mean power."""
+    if bps == 1:
+        return [complex(2 * value - 1, 0.0) for value in range(2)]
+    half = bps // 2
+    m = 1 << half
+    gray_to_level = {level ^ (level >> 1): level for level in range(m)}
+    scale = math.sqrt(2 * (m * m - 1) / 3)
 
-    @pytest.mark.parametrize("bps", [8, 10])
-    def test_rail_hard_equals_full_search(self, bps, rng):
-        mod = Modulator(bps)
-        bits = random_bits(bps * 64, rng)
-        noisy = mod.modulate(bits) + 0.02 * (
-            rng.normal(size=64) + 1j * rng.normal(size=64)
-        )
-        nearest = np.argmin(
-            np.abs(noisy[:, None] - mod.constellation[None, :]), axis=1
-        )
-        full = mod._labels[nearest].ravel()
-        assert np.array_equal(mod.demodulate_hard(noisy), full)
+    def amplitude(bits):
+        return (2 * gray_to_level[bits] - (m - 1)) / scale
 
-    @pytest.mark.parametrize("bps", [8, 10])
-    def test_rail_soft_equals_full_maxlog(self, bps, rng):
+    return [complex(amplitude(value & (m - 1)), amplitude(value >> half))
+            for value in range(1 << bps)]
+
+
+def _python_nearest(points, y):
+    """Index of the point nearest ``y``, by brute force in Python floats."""
+    dists = [(y.real - c.real) ** 2 + (y.imag - c.imag) ** 2 for c in points]
+    return dists.index(min(dists))
+
+
+def _python_maxlog(points, bps, y, noise_var):
+    """Max-log LLRs of one symbol over every constellation point.
+
+    Plain Python floats: for each bit, the smallest squared distance to
+    a point whose label has that bit 1, minus the smallest to one with
+    it 0, over the noise variance floored at 1e-12.
+    """
+    nearest = [[math.inf, math.inf] for _ in range(bps)]
+    for value, c in enumerate(points):
+        d = (y.real - c.real) ** 2 + (y.imag - c.imag) ** 2
+        for bit, side in enumerate(nearest):
+            label_bit = value >> bit & 1
+            side[label_bit] = min(side[label_bit], d)
+    noise_var = max(noise_var, 1e-12)
+    return [(ones - zeros) / noise_var for zeros, ones in nearest]
+
+
+def _noisy_symbols(mod, rng, n=32):
+    """Random points plus noise, a few pushed outside the grid."""
+    y = mod.modulate(random_bits(mod.bits_per_symbol * n, rng))
+    y = y + 0.1 * (rng.normal(size=n) + 1j * rng.normal(size=n))
+    y[:4] *= 1.5
+    return y
+
+
+class TestMaxLogReference:
+    """The per-rail demapper against brute force over the constellation."""
+
+    @pytest.mark.parametrize("bps", ALL_ORDERS)
+    def test_hard_equals_nearest_point(self, bps, rng):
         mod = Modulator(bps)
-        bits = random_bits(bps * 64, rng)
-        noisy = mod.modulate(bits) + 0.02 * (
-            rng.normal(size=64) + 1j * rng.normal(size=64)
-        )
-        nv = np.full(64, 0.0008)
-        metric = -(np.abs(noisy[:, None] - mod.constellation[None, :]) ** 2)
-        metric = metric / nv[:, None]
-        ref = np.empty((64, bps))
-        for bit in range(bps):
-            mask0 = mod._bit0_masks[bit]
-            ref[:, bit] = (metric[:, mask0].max(axis=1)
-                           - metric[:, ~mask0].max(axis=1))
-        assert np.allclose(mod.demodulate_soft(noisy, nv), ref.ravel())
+        y = _noisy_symbols(mod, rng, n=64)
+        points = _python_points(bps)
+        ref = [value >> bit & 1
+               for value in (_python_nearest(points, s) for s in y.tolist())
+               for bit in range(bps)]
+        assert mod.demodulate_hard(y).tolist() == ref
+
+    @pytest.mark.parametrize("noise", ["scalar", "per-symbol", "zero"])
+    @pytest.mark.parametrize("bps", ALL_ORDERS)
+    def test_soft_equals_python_maxlog(self, bps, noise, rng):
+        mod = Modulator(bps)
+        y = _noisy_symbols(mod, rng)
+        noise_var = {"scalar": 0.02,
+                     "per-symbol": 0.01 + 0.02 * rng.random(y.size),
+                     "zero": 0.0}[noise]
+        per_symbol = np.broadcast_to(noise_var, y.shape).tolist()
+        points = _python_points(bps)
+        ref = np.array([_python_maxlog(points, bps, s, v)
+                        for s, v in zip(y.tolist(), per_symbol)]).ravel()
+        got = mod.demodulate_soft(y, noise_var)
+        assert got.dtype == np.float64 and got.shape == ref.shape
+        # Only rounding separates the two: the rails drop the other
+        # rail's distance term, which cancels exactly in every LLR, and
+        # the reference points may differ from the table's in the last
+        # bit.
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
